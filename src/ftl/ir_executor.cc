@@ -5,13 +5,14 @@
 #include "support/logging.h"
 
 /**
- * Dispatch strategy — same scheme as the bytecode executor. With
- * NOMAP_COMPUTED_GOTO each op body ends in an indirect jump through a
- * per-opcode label table (direct threading); without it the bodies
- * compile as a portable switch. VM_CASE opens an op body, `goto
- * vm_next` advances to the next instruction, `goto vm_next_newseg`
- * does the same but re-enters segment charging (transaction-boundary
- * ops), and Jump/Branch go to vm_seg_entry after retargeting.
+ * Dispatch: direct threading. Each record carries its op spec
+ * (ExecInstr::spec, stamped by computeChargePlan), and the loop jumps
+ * through a per-spec label table into the spec's body. The bodies
+ * themselves live in op_bodies.inc, shared with the template tier's
+ * loop (jit/jit_executor.cc); this file supplies the loop around
+ * them. OP_NEXT() advances to the next record, OP_NEXT_NEWSEG() does
+ * the same but re-enters segment charging (transaction-boundary ops),
+ * and Jump/Branch enter vm_seg_entry after retargeting.
  *
  * The loop walks the function's flat predecoded run stream (see
  * ExecInstr in ir/ir.h): one contiguous array of 32-byte records in
@@ -21,11 +22,9 @@
  * ends in a terminator and every branch target is in range, so `ip`
  * can only move between valid records.
  */
-#if defined(NOMAP_COMPUTED_GOTO)
-#define VM_CASE(name) lbl_##name:
-#else
-#define VM_CASE(name) case IrOp::name:
-#endif
+#define OP_NEXT() goto vm_next
+#define OP_NEXT_NEWSEG() goto vm_next_newseg
+#define OP_ENTER_SEG() goto vm_seg_entry
 
 namespace nomap {
 
@@ -36,32 +35,6 @@ static_assert(static_cast<uint8_t>(CheckKind::Bounds) == 0 &&
               static_cast<uint8_t>(CheckKind::Type) == 2 &&
               static_cast<uint8_t>(CheckKind::Property) == 3 &&
               static_cast<uint8_t>(CheckKind::Other) == 4);
-
-namespace {
-
-/** Deterministic garbage produced by unguarded speculative ops. */
-Value
-garbageValue()
-{
-    return Value::int32(0);
-}
-
-/** Injection site of a check kind (check.bounds, check.type, ...). */
-FaultSite
-faultSiteOfCheck(CheckKind kind)
-{
-    switch (kind) {
-      case CheckKind::Bounds: return FaultSite::CheckBounds;
-      case CheckKind::Overflow: return FaultSite::CheckOverflow;
-      case CheckKind::Type: return FaultSite::CheckType;
-      case CheckKind::Property: return FaultSite::CheckProperty;
-      case CheckKind::Other: return FaultSite::CheckOther;
-      case CheckKind::NumKinds: break;
-    }
-    return FaultSite::CheckOther;
-}
-
-} // namespace
 
 IrExecutor::IrExecutor(ExecEnv &env_, BytecodeExecutor &baseline_,
                        const EngineConfig &config_)
@@ -115,6 +88,9 @@ IrExecutor::runImpl(IrFunction &ir, BytecodeFunction &fn,
     constexpr bool kBatched = (kFeat & kFeatBatched) != 0;
     constexpr bool kInject = (kFeat & kFeatInject) != 0;
     constexpr bool kTrace = (kFeat & kFeatTrace) != 0;
+    // Every FTL frame may own a transaction: the tx bodies and the
+    // per-op watchdog are always live here.
+    constexpr bool kAware = true;
 
     FrameLease frameLease(env, ir.numRegs);
     FlagLease flagLease(env, ir.numRegs);
@@ -172,15 +148,13 @@ IrExecutor::runImpl(IrFunction &ir, BytecodeFunction &fn,
     };
 
     try {
-#if defined(NOMAP_COMPUTED_GOTO)
         static const void *const kDispatch[] = {
-#define NOMAP_IR_OP_LABEL(name) &&lbl_##name,
-            NOMAP_IR_OP_LIST(NOMAP_IR_OP_LABEL)
-#undef NOMAP_IR_OP_LABEL
+#define NOMAP_OP_SPEC_LABEL(name) &&lbl_##name,
+            NOMAP_OP_SPEC_LIST(NOMAP_OP_SPEC_LABEL)
+#undef NOMAP_OP_SPEC_LABEL
         };
         static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                      kNumIrOps);
-#endif
+                      kNumOpSpecs);
 
     vm_seg_entry:
         // Entering a new charge segment: block entry, or the
@@ -224,634 +198,9 @@ IrExecutor::runImpl(IrFunction &ir, BytecodeFunction &fn,
             }
         }
 
-        {
-#if defined(NOMAP_COMPUTED_GOTO)
-            goto *kDispatch[static_cast<size_t>(ip->op)];
-#else
-            switch (ip->op)
-#endif
-            {
-              VM_CASE(Nop)
-                goto vm_next;
-              VM_CASE(Const)
-                R[ip->dst] = consts[ip->imm];
-                goto vm_next;
-              VM_CASE(Move)
-                R[ip->dst] = R[ip->a];
-                OVF[ip->dst] = OVF[ip->a];
-                goto vm_next;
+        goto *kDispatch[static_cast<size_t>(ip->spec)];
 
-              // ---- Integer arithmetic (sets the overflow flag) -----
-              VM_CASE(AddInt)
-              VM_CASE(SubInt)
-              VM_CASE(MulInt) {
-                Value va = R[ip->a];
-                Value vb = R[ip->b];
-                if (!va.isInt32() || !vb.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    OVF[ip->dst] = 0;
-                    goto vm_next;
-                }
-                int64_t wide;
-                int64_t x = va.asInt32();
-                int64_t y = vb.asInt32();
-                if (ip->op == IrOp::AddInt)
-                    wide = x + y;
-                else if (ip->op == IrOp::SubInt)
-                    wide = x - y;
-                else
-                    wide = x * y;
-                bool ovf = wide < INT32_MIN || wide > INT32_MAX;
-                R[ip->dst] = Value::int32(static_cast<int32_t>(wide));
-                OVF[ip->dst] = ovf;
-                if (ovf && env.htm.inTransaction())
-                    env.htm.noteArithmeticOverflow();
-                goto vm_next;
-              }
-              VM_CASE(NegInt) {
-                Value va = R[ip->a];
-                if (!va.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                int32_t x = va.asInt32();
-                bool ovf = (x == 0) || (x == INT32_MIN);
-                R[ip->dst] =
-                    Value::int32(ovf && x == INT32_MIN ? x : -x);
-                OVF[ip->dst] = ovf;
-                if (ovf && env.htm.inTransaction())
-                    env.htm.noteArithmeticOverflow();
-                goto vm_next;
-              }
-
-              // ---- Double arithmetic -------------------------------
-              VM_CASE(AddDouble)
-              VM_CASE(SubDouble)
-              VM_CASE(MulDouble)
-              VM_CASE(DivDouble)
-              VM_CASE(ModDouble) {
-                Value va = R[ip->a];
-                Value vb = R[ip->b];
-                if (!va.isNumber() || !vb.isNumber()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                double x = va.asNumber();
-                double y = vb.asNumber();
-                double r;
-                switch (ip->op) {
-                  case IrOp::AddDouble: r = x + y; break;
-                  case IrOp::SubDouble: r = x - y; break;
-                  case IrOp::MulDouble: r = x * y; break;
-                  case IrOp::DivDouble: r = x / y; break;
-                  default: r = std::fmod(x, y); break;
-                }
-                R[ip->dst] = Value::number(r);
-                goto vm_next;
-              }
-              VM_CASE(NegDouble) {
-                Value va = R[ip->a];
-                if (!va.isNumber()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                R[ip->dst] = Value::boxDouble(-va.asNumber());
-                goto vm_next;
-              }
-
-              // ---- Bitwise / shifts ---------------------------------
-              VM_CASE(BitAndInt)
-              VM_CASE(BitOrInt)
-              VM_CASE(BitXorInt)
-              VM_CASE(ShlInt)
-              VM_CASE(ShrInt)
-              VM_CASE(UShrInt) {
-                Value va = R[ip->a];
-                Value vb = R[ip->b];
-                if (!va.isInt32() || !vb.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                int32_t x = va.asInt32();
-                uint32_t sh = static_cast<uint32_t>(vb.asInt32()) & 31;
-                switch (ip->op) {
-                  case IrOp::BitAndInt:
-                    R[ip->dst] = Value::int32(x & vb.asInt32());
-                    break;
-                  case IrOp::BitOrInt:
-                    R[ip->dst] = Value::int32(x | vb.asInt32());
-                    break;
-                  case IrOp::BitXorInt:
-                    R[ip->dst] = Value::int32(x ^ vb.asInt32());
-                    break;
-                  case IrOp::ShlInt:
-                    R[ip->dst] = Value::int32(x << sh);
-                    break;
-                  case IrOp::ShrInt:
-                    R[ip->dst] = Value::int32(x >> sh);
-                    break;
-                  default:
-                    R[ip->dst] = Value::number(static_cast<double>(
-                        static_cast<uint32_t>(x) >> sh));
-                    break;
-                }
-                goto vm_next;
-              }
-              VM_CASE(BitNotInt) {
-                Value va = R[ip->a];
-                if (!va.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                R[ip->dst] = Value::int32(~va.asInt32());
-                goto vm_next;
-              }
-
-              // ---- Comparisons -------------------------------------
-              VM_CASE(CmpInt)
-              VM_CASE(CmpDouble) {
-                Value va = R[ip->a];
-                Value vb = R[ip->b];
-                if (!va.isNumber() || !vb.isNumber()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = Value::boolean(false);
-                    goto vm_next;
-                }
-                double x = va.asNumber();
-                double y = vb.asNumber();
-                bool r;
-                switch (static_cast<BinaryOp>(ip->imm)) {
-                  case BinaryOp::Lt: r = x < y; break;
-                  case BinaryOp::Le: r = x <= y; break;
-                  case BinaryOp::Gt: r = x > y; break;
-                  case BinaryOp::Ge: r = x >= y; break;
-                  case BinaryOp::Eq:
-                  case BinaryOp::StrictEq: r = x == y; break;
-                  case BinaryOp::NotEq:
-                  case BinaryOp::StrictNotEq: r = x != y; break;
-                  default:
-                    panic("bad compare subop");
-                }
-                R[ip->dst] = Value::boolean(r);
-                goto vm_next;
-              }
-              VM_CASE(ToDouble)
-                R[ip->dst] = Value::boxDouble(R[ip->a].asNumber());
-                goto vm_next;
-              VM_CASE(ToBoolean)
-                R[ip->dst] =
-                    Value::boolean(env.runtime.toBoolean(R[ip->a]));
-                goto vm_next;
-              VM_CASE(NotBool)
-                R[ip->dst] = Value::boolean(!R[ip->a].asBoolean());
-                goto vm_next;
-
-              // ---- Checks -------------------------------------------
-              VM_CASE(CheckInt32)
-              VM_CASE(CheckNumber)
-              VM_CASE(CheckShape)
-              VM_CASE(CheckArray)
-              VM_CASE(CheckIndexInt)
-              VM_CASE(CheckBounds)
-              VM_CASE(CheckBoundsRange)
-              VM_CASE(CheckOverflow)
-              VM_CASE(CheckNotHole) {
-                if (ftl)
-                    env.acct.recordCheck(checkKindOfUnchecked(ip->op));
-                bool pass;
-                Value va = R[ip->a];
-                switch (ip->op) {
-                  case IrOp::CheckInt32:
-                  case IrOp::CheckIndexInt:
-                    pass = va.isInt32();
-                    break;
-                  case IrOp::CheckNumber:
-                    pass = va.isNumber();
-                    break;
-                  case IrOp::CheckShape:
-                    pass = va.isObject() &&
-                           env.heap.object(va.payload()).shape ==
-                               ip->imm;
-                    break;
-                  case IrOp::CheckArray:
-                    pass = va.isArray();
-                    break;
-                  case IrOp::CheckBounds: {
-                    Value vi = R[ip->b];
-                    pass = va.isArray() && vi.isInt32() &&
-                           vi.asInt32() >= 0 &&
-                           static_cast<uint32_t>(vi.asInt32()) <
-                               env.heap.array(va.payload()).length();
-                    break;
-                  }
-                  case IrOp::CheckBoundsRange: {
-                    Value lo = R[ip->b];
-                    Value hi = R[ip->c];
-                    if (!lo.isInt32() || !hi.isInt32() ||
-                        !va.isArray()) {
-                        pass = false;
-                    } else if (hi.asInt32() < lo.asInt32()) {
-                        pass = true; // Zero-trip loop: vacuous.
-                    } else {
-                        pass = lo.asInt32() >= 0 &&
-                               static_cast<uint32_t>(hi.asInt32()) <
-                                   env.heap.array(va.payload())
-                                       .length();
-                        }
-                    break;
-                  }
-                  case IrOp::CheckOverflow:
-                    pass = !OVF[ip->a];
-                    break;
-                  case IrOp::CheckNotHole:
-                    pass = !va.isUndefined();
-                    break;
-                  default:
-                    pass = true;
-                    break;
-                }
-
-                // Fault injection: force this check to fail. Every
-                // armed check-site counts this occurrence (no
-                // short-circuiting) so occurrence numbering never
-                // depends on which other actions are armed. A forced
-                // failure is only honored where the generic recovery
-                // below can run: unconverted checks need an SMP to
-                // OSR through; converted checks need a live
-                // transaction to abort.
-                if constexpr (kInject) {
-                    if (pass) {
-                        CheckKind kind = checkKindOfUnchecked(ip->op);
-                        bool force =
-                            env.inj->fire(faultSiteOfCheck(kind));
-                        force |= env.inj->fire(FaultSite::CheckAny);
-                        if (!ip->converted && ip->smpPc != kNoSmp) {
-                            force |= env.inj->fire(FaultSite::FtlOsr,
-                                                   ip->smpPc);
-                        }
-                        if (force &&
-                            (ip->converted ? env.htm.inTransaction()
-                                           : ip->smpPc != kNoSmp)) {
-                            pass = false;
-                        }
-                    }
-                }
-                if (pass)
-                    goto vm_next;
-
-                if (!ip->converted) {
-                    // OSR exit through the stack map: hand the
-                    // baseline registers to the Baseline tier at the
-                    // SMP's bytecode pc.
-                    ++env.acct.stats().deopts;
-                    NOMAP_ASSERT(ip->smpPc != kNoSmp);
-                    if constexpr (kTrace) {
-                        TraceEvent event;
-                        event.vcycles = env.acct.virtualCycles();
-                        event.type = TraceEventType::Deopt;
-                        event.code = static_cast<uint8_t>(
-                            checkKindOfUnchecked(ip->op));
-                        event.funcId = ir.funcId;
-                        event.pc = ip->smpPc;
-                        env.trace->emit(event);
-                    }
-                    if constexpr (kBatched)
-                        refundAfterCurrent();
-                    std::vector<Value> locals(R, R + ir.bytecodeRegs);
-                    return baseline.runFrom(fn, locals, ip->smpPc);
-                }
-                // Converted check: transactional abort.
-                ++checkAborts;
-                env.acct.chargeCycles(
-                    env.htm.abort(AbortCode::ExplicitCheck));
-                if (!tx_owner) {
-                    // The transaction belongs to a caller; unwind.
-                    // (Our own catch below refunds the segment suffix
-                    // before rethrowing — no inline refund here.)
-                    sync_tx_flag();
-                    throw TxAbortUnwind{AbortCode::ExplicitCheck};
-                }
-                if constexpr (kBatched)
-                    refundAfterCurrent();
-                return resume_baseline();
-              }
-
-              // ---- Memory -------------------------------------------
-              VM_CASE(GetSlot) {
-                Value va = R[ip->a];
-                if (!va.isObject()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                const JsObject &obj =
-                    env.heap.object(va.payload());
-                if (ip->imm >= obj.slots.size()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                R[ip->dst] = obj.slots[ip->imm];
-                env.memAccess(obj.baseAddr + 8ull * ip->imm, false);
-                goto vm_next;
-              }
-              VM_CASE(SetSlot) {
-                Value va = R[ip->a];
-                if (!va.isObject()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    goto vm_next; // Speculative store to nowhere.
-                }
-                const JsObject &obj =
-                    env.heap.object(va.payload());
-                if (ip->imm >= obj.slots.size()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    goto vm_next; // Speculative store to nowhere.
-                }
-                env.heap.setSlot(va.payload(), ip->imm, R[ip->b]);
-                env.memAccess(obj.baseAddr + 8ull * ip->imm, true);
-                goto vm_next;
-              }
-              VM_CASE(GetArrayLen) {
-                Value va = R[ip->a];
-                if (!va.isArray()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                const JsArray &arr = env.heap.array(va.payload());
-                R[ip->dst] = Value::int32(
-                    static_cast<int32_t>(arr.length()));
-                env.memAccess(arr.baseAddr, false);
-                goto vm_next;
-              }
-              VM_CASE(GetElem) {
-                Value va = R[ip->a];
-                Value vi = R[ip->b];
-                if (!va.isArray() || !vi.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    goto vm_next;
-                }
-                const JsArray &arr = env.heap.array(va.payload());
-                int32_t i = vi.asInt32();
-                if (i < 0 ||
-                    static_cast<uint32_t>(i) >= arr.length()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    if (i >= 0) {
-                        env.memAccess(
-                            arr.baseAddr + 8ull *
-                                static_cast<uint32_t>(i),
-                            false);
-                    }
-                    goto vm_next;
-                }
-                R[ip->dst] = arr.storage[static_cast<size_t>(i)];
-                env.memAccess(arr.baseAddr +
-                                  8ull * static_cast<uint32_t>(i),
-                              false);
-                goto vm_next;
-              }
-              VM_CASE(SetElem) {
-                Value va = R[ip->a];
-                Value vi = R[ip->b];
-                if (!va.isArray() || !vi.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    goto vm_next;
-                }
-                const JsArray &arr = env.heap.array(va.payload());
-                int32_t i = vi.asInt32();
-                if (i < 0 ||
-                    static_cast<uint32_t>(i) >= arr.length()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    if (i >= 0) {
-                        Addr addr = arr.baseAddr +
-                                    8ull * static_cast<uint32_t>(i);
-                        if (!env.htm.recordWrite(addr))
-                            throw TxAbortUnwind{AbortCode::Capacity};
-                        env.memAccess(addr, true);
-                    }
-                    goto vm_next; // Speculative OOB store: dropped.
-                }
-                env.heap.setElementFast(va.payload(),
-                                        static_cast<uint32_t>(i),
-                                        R[ip->c]);
-                env.memAccess(arr.baseAddr +
-                                  8ull * static_cast<uint32_t>(i),
-                              true);
-                goto vm_next;
-              }
-              VM_CASE(LoadGlobal)
-                R[ip->dst] = env.heap.getGlobal(ip->imm);
-                env.memAccess(env.heap.globalAddr(ip->imm), false);
-                goto vm_next;
-              VM_CASE(StoreGlobal)
-                env.heap.setGlobal(ip->imm, R[ip->a]);
-                env.memAccess(env.heap.globalAddr(ip->imm), true);
-                goto vm_next;
-
-              // ---- Generic runtime fallbacks -----------------------
-              VM_CASE(GenericBinary)
-                env.acct.chargeRuntime(CostModel::kRuntimeGenericOp);
-                R[ip->dst] = env.runtime.applyBinary(
-                    static_cast<BinaryOp>(ip->imm), R[ip->a],
-                    R[ip->b]);
-                goto vm_next;
-              VM_CASE(GenericUnary)
-                env.acct.chargeRuntime(CostModel::kRuntimeGenericOp);
-                R[ip->dst] = env.runtime.applyUnary(
-                    static_cast<UnaryOp>(ip->imm), R[ip->a]);
-                goto vm_next;
-              VM_CASE(GenericGetProp) {
-                env.acct.chargeRuntime(CostModel::kRuntimePropAccess);
-                Addr addr = 0;
-                R[ip->dst] = env.runtime.getPropertyGeneric(
-                    R[ip->a], ip->imm, &addr);
-                env.memAccess(addr, false);
-                goto vm_next;
-              }
-              VM_CASE(GenericSetProp) {
-                env.acct.chargeRuntime(CostModel::kRuntimePropAccess);
-                Addr addr = 0;
-                env.runtime.setPropertyGeneric(R[ip->a], ip->imm,
-                                               R[ip->b], &addr);
-                env.memAccess(addr, true);
-                goto vm_next;
-              }
-              VM_CASE(GenericGetIndex) {
-                env.acct.chargeRuntime(CostModel::kRuntimeIndexAccess);
-                Addr addr = 0;
-                R[ip->dst] = env.runtime.getIndexGeneric(
-                    R[ip->a], R[ip->b], &addr);
-                env.memAccess(addr, false);
-                goto vm_next;
-              }
-              VM_CASE(GenericSetIndex) {
-                env.acct.chargeRuntime(CostModel::kRuntimeIndexAccess);
-                Addr addr = 0;
-                env.runtime.setIndexGeneric(R[ip->a], R[ip->b],
-                                            R[ip->c], &addr);
-                env.memAccess(addr, true);
-                goto vm_next;
-              }
-              VM_CASE(NewArray) {
-                env.acct.chargeRuntime(CostModel::kRuntimeAllocation);
-                Value arr = env.heap.allocArray(ip->imm);
-                for (uint32_t i = 0; i < ip->imm; ++i) {
-                    env.heap.setElementFast(arr.payload(), i,
-                                            R[ip->a + i]);
-                }
-                R[ip->dst] = arr;
-                goto vm_next;
-              }
-              VM_CASE(NewObject) {
-                env.acct.chargeRuntime(CostModel::kRuntimeAllocation);
-                Value obj = env.heap.allocObject();
-                // The descriptor lives in the bytecode function.
-                const ObjectDesc &desc = fn.objectDescs[ip->imm];
-                for (uint32_t i = 0; i < ip->b; ++i) {
-                    env.heap.setProperty(obj.payload(),
-                                         desc.nameIds[i],
-                                         R[ip->a + i]);
-                }
-                R[ip->dst] = obj;
-                goto vm_next;
-              }
-
-              // ---- Calls --------------------------------------------
-              VM_CASE(Call)
-                R[ip->dst] =
-                    env.dispatcher.call(ip->imm, R + ip->a, ip->b);
-                goto vm_next;
-              VM_CASE(CallNative) {
-                auto bid = static_cast<BuiltinId>(ip->imm);
-                if (bid == BuiltinId::Print)
-                    env.irrevocableEvent();
-                env.acct.chargeRuntime(CostModel::kRuntimeNativeCall);
-                R[ip->dst] = env.builtins.call(bid, R + ip->a, ip->b);
-                goto vm_next;
-              }
-              VM_CASE(Intrinsic)
-                R[ip->dst] = env.builtins.call(
-                    static_cast<BuiltinId>(ip->imm), R + ip->a, ip->b);
-                goto vm_next;
-              VM_CASE(CallMethod) {
-                env.acct.chargeRuntime(CostModel::kRuntimeMethodCall);
-                uint32_t name_id = ip->imm / 16;
-                uint32_t margs = ip->imm % 16;
-                R[ip->dst] = env.builtins.callMethod(
-                    R[ip->a], name_id, R + ip->b, margs);
-                goto vm_next;
-              }
-
-              // ---- Control flow ------------------------------------
-              VM_CASE(Jump)
-                ip = base + ip->imm;
-                goto vm_seg_entry;
-              VM_CASE(Branch) {
-                bool taken = env.runtime.toBoolean(R[ip->a]);
-                ip = base + (taken ? ip->imm : ip->imm2);
-                goto vm_seg_entry;
-              }
-              VM_CASE(Return)
-                NOMAP_ASSERT(!tx_owner);
-                return R[ip->a];
-              VM_CASE(ReturnUndef)
-                NOMAP_ASSERT(!tx_owner);
-                return Value::undefined();
-
-              // ---- Transactions ------------------------------------
-              VM_CASE(TxBegin) {
-                bool outermost = !env.htm.inTransaction();
-                // Attribute the transaction's trace/telemetry events
-                // to this function + entry SMP before begin() emits
-                // TxBegin. Unconditional: the adaptive controller
-                // consumes the telemetry stream with tracing off.
-                if (outermost)
-                    env.htm.setTraceContext(ir.funcId, ip->smpPc);
-                env.acct.chargeCycles(env.htm.begin());
-                sync_tx_flag();
-                if (outermost) {
-                    tx_owner = true;
-                    tx_snapshot.assign(R, R + ir.bytecodeRegs);
-                    tx_entry_pc = ip->smpPc;
-                    tx_instr = 0;
-                    tile_count = 0;
-                    // An injected begin-abort (htm.abort*) fires now
-                    // that owner state exists, so recovery follows
-                    // the real abort path.
-                    AbortCode injected =
-                        env.htm.takePendingInjectedAbort();
-                    if (injected != AbortCode::None) {
-                        if constexpr (kBatched)
-                            refundAfterCurrent();
-                        env.acct.chargeCycles(
-                            env.htm.abort(injected));
-                        return resume_baseline();
-                    }
-                }
-                goto vm_next_newseg;
-              }
-              VM_CASE(TxEnd) {
-                CommitResult r = env.htm.end();
-                env.acct.chargeCycles(r.cycles);
-                if (r.committed) {
-                    if (!env.htm.inTransaction()) {
-                        env.mem.commitSpeculative();
-                        tx_owner = false;
-                    }
-                    sync_tx_flag();
-                    goto vm_next_newseg;
-                }
-                // SOF abort at commit (paper Figure 7).
-                if (!tx_owner) {
-                    sync_tx_flag();
-                    throw TxAbortUnwind{r.abortCode};
-                }
-                if constexpr (kBatched)
-                    refundAfterCurrent();
-                return resume_baseline();
-              }
-              VM_CASE(TxTile) {
-                if (!tx_owner)
-                    goto vm_next_newseg; // Nested: tiling disabled.
-                ++tile_count;
-                if (tile_count % ip->imm != 0)
-                    goto vm_next_newseg;
-                CommitResult r = env.htm.end();
-                env.acct.chargeCycles(r.cycles);
-                if (!r.committed) {
-                    if constexpr (kBatched)
-                        refundAfterCurrent();
-                    return resume_baseline();
-                }
-                env.mem.commitSpeculative();
-                env.htm.setTraceContext(ir.funcId, ip->smpPc);
-                env.acct.chargeCycles(env.htm.begin());
-                tx_snapshot.assign(R, R + ir.bytecodeRegs);
-                tx_entry_pc = ip->smpPc;
-                tx_instr = 0;
-                {
-                    AbortCode injected =
-                        env.htm.takePendingInjectedAbort();
-                    if (injected != AbortCode::None) {
-                        if constexpr (kBatched)
-                            refundAfterCurrent();
-                        env.acct.chargeCycles(
-                            env.htm.abort(injected));
-                        return resume_baseline();
-                    }
-                }
-                goto vm_next_newseg;
-              }
-            }
-        }
+#include "ftl/op_bodies.inc"
 
     vm_next:
         ++ip;
@@ -863,7 +212,7 @@ IrExecutor::runImpl(IrFunction &ir, BytecodeFunction &fn,
         // context, so batched mode opens a fresh segment for them.
         ++ip;
         goto vm_seg_entry;
-    } catch (TxAbortUnwind &unwind) {
+    } catch (TxAbortUnwind &) {
         if constexpr (kBatched) {
             // The charged segment's ops after the faulting one never
             // executed — whether the throw came from this frame's own
@@ -877,12 +226,8 @@ IrExecutor::runImpl(IrFunction &ir, BytecodeFunction &fn,
             sync_tx_flag();
             throw; // Outer frame owns the transaction.
         }
-        if (unwind.code == AbortCode::Capacity)
-            ++capAborts;
         return resume_baseline();
     }
 }
-
-#undef VM_CASE
 
 } // namespace nomap

@@ -20,12 +20,14 @@
  * a transaction every fast op is fully guarded by construction and a
  * mismatch is a compiler bug (simulator panic).
  *
- * This executor is the *reference semantics* for the region template
- * tier (src/jit/), which re-implements every op body as a bound
- * continuation template and is pinned bit-identical by
- * tests/test_jit.cc — a behavioural change here (charge order, check
- * sequencing, trace points, injection sites) must be mirrored there,
- * and the differential will fail until it is.
+ * The op bodies are not written here: they live once, in
+ * op_bodies.inc, and this executor's dispatch loop and the region
+ * template tier's (src/jit/) both expand them, so op semantics cannot
+ * drift between the two tiers. This loop stays the reference that
+ * tests/test_jit.cc compares the template tier against; what that
+ * differential still pins is the part each loop owns: dispatch, label
+ * binding, superinstruction fusion, and the tx-aware/non-aware
+ * variant split.
  */
 
 #include "engine/config.h"
@@ -47,12 +49,6 @@ class IrExecutor
      */
     Value run(IrFunction &ir, BytecodeFunction &fn, const Value *args,
               uint32_t nargs);
-
-    /** Consecutive capacity aborts observed (engine escalates scope). */
-    uint32_t consecutiveCapacityAborts() const { return capAborts; }
-    /** Consecutive explicit-check aborts (engine detransactionalizes). */
-    uint32_t consecutiveCheckAborts() const { return checkAborts; }
-    void resetAbortFeedback() { capAborts = 0; checkAborts = 0; }
 
   private:
     /**
@@ -85,8 +81,6 @@ class IrExecutor
     ExecEnv &env;
     BytecodeExecutor &baseline;
     const EngineConfig &config;
-    uint32_t capAborts = 0;
-    uint32_t checkAborts = 0;
 };
 
 } // namespace nomap

@@ -3,17 +3,14 @@
 #include "support/logging.h"
 
 /**
- * Dispatch strategy. With NOMAP_COMPUTED_GOTO (set by CMake when the
- * compiler supports GNU labels-as-values) each op body ends in an
- * indirect jump through a per-opcode label table — the classic
- * direct-threaded interpreter, which gives the branch predictor one
- * indirect-branch site per opcode instead of a single shared one.
- * Without it, the same bodies compile as a portable switch.
- *
- * Both variants share one skeleton: VM_CASE opens an op body,
- * `goto vm_next` advances to the next pc, and jump ops go straight to
- * vm_top after retargeting pc (vm_next also clears the back-edge
- * flag, so jumps must bypass it — exactly the seed loop's continue).
+ * Dispatch strategy. Each op body ends in an indirect jump through a
+ * per-opcode label table (GNU labels-as-values, which the build
+ * requires) — the classic direct-threaded interpreter, which gives
+ * the branch predictor one indirect-branch site per opcode instead of
+ * a single shared one. VM_CASE opens an op body, `goto vm_next`
+ * advances to the next pc, and jump ops go straight to vm_top after
+ * retargeting pc (vm_next also clears the back-edge flag, so jumps
+ * must bypass it — exactly the seed loop's continue).
  *
  * Quickening. Warm code is rewritten in place (op field only; pc,
  * operands, and code length never change) to pre-resolved forms:
@@ -38,11 +35,7 @@
  * kFeatQuicken, so a non-quickening engine simply never encounters
  * them.
  */
-#if defined(NOMAP_COMPUTED_GOTO)
 #define VM_CASE(name) lbl_##name:
-#else
-#define VM_CASE(name) case Opcode::name:
-#endif
 
 namespace nomap {
 
@@ -235,7 +228,6 @@ BytecodeExecutor::executeImpl(BytecodeFunction &fn,
         if constexpr (kBatched)
             chargeRunFrom(pc);
 
-#if defined(NOMAP_COMPUTED_GOTO)
         static const void *const kDispatch[] = {
 #define NOMAP_BYTECODE_OP_LABEL(name) &&lbl_##name,
             NOMAP_BYTECODE_OP_LIST(NOMAP_BYTECODE_OP_LABEL)
@@ -243,7 +235,6 @@ BytecodeExecutor::executeImpl(BytecodeFunction &fn,
         };
         static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
                       kNumOpcodes);
-#endif
 
     vm_top:
         // No bounds check here: computeChargePlan validated once that
@@ -255,11 +246,7 @@ BytecodeExecutor::executeImpl(BytecodeFunction &fn,
         if constexpr (!kBatched)
             charge(base);
 
-#if defined(NOMAP_COMPUTED_GOTO)
         goto *kDispatch[static_cast<size_t>(instr->op)];
-#else
-        switch (instr->op)
-#endif
         {
           VM_CASE(LoadConst)
             R[instr->a] = constants[instr->imm];

@@ -10,9 +10,24 @@ namespace nomap {
 CheckKind
 checkKindOf(IrOp op)
 {
-    if (!isCheckOp(op))
+    switch (op) {
+      case IrOp::CheckBounds:
+      case IrOp::CheckBoundsRange:
+        return CheckKind::Bounds;
+      case IrOp::CheckOverflow:
+        return CheckKind::Overflow;
+      case IrOp::CheckInt32:
+      case IrOp::CheckNumber:
+      case IrOp::CheckArray:
+        return CheckKind::Type;
+      case IrOp::CheckShape:
+        return CheckKind::Property;
+      case IrOp::CheckIndexInt:
+      case IrOp::CheckNotHole:
+        return CheckKind::Other;
+      default:
         panic("checkKindOf on non-check op");
-    return checkKindOfUnchecked(op);
+    }
 }
 
 bool
@@ -219,6 +234,38 @@ irBaseCost(IrOp op)
     return 1;
 }
 
+namespace {
+
+/** The spec whose body executes @p op with immediate @p imm. */
+OpSpec
+opSpecOf(IrOp op, uint32_t imm)
+{
+    switch (op) {
+#define NOMAP_OP_SPEC_SAME(name)                                        \
+      case IrOp::name:                                                  \
+        return OpSpec::name;
+        NOMAP_IR_OPS_HEAD(NOMAP_OP_SPEC_SAME)
+        NOMAP_IR_OPS_TAIL(NOMAP_OP_SPEC_SAME)
+#undef NOMAP_OP_SPEC_SAME
+      case IrOp::CmpInt:
+      case IrOp::CmpDouble:
+        switch (static_cast<BinaryOp>(imm)) {
+          case BinaryOp::Lt: return OpSpec::CmpLt;
+          case BinaryOp::Le: return OpSpec::CmpLe;
+          case BinaryOp::Gt: return OpSpec::CmpGt;
+          case BinaryOp::Ge: return OpSpec::CmpGe;
+          case BinaryOp::Eq:
+          case BinaryOp::StrictEq: return OpSpec::CmpEq;
+          case BinaryOp::NotEq:
+          case BinaryOp::StrictNotEq: return OpSpec::CmpNe;
+          default: return OpSpec::CmpOther;
+        }
+    }
+    panic("opSpecOf: unmapped IR op");
+}
+
+} // namespace
+
 void
 computeChargePlan(IrFunction &fn)
 {
@@ -288,6 +335,7 @@ computeChargePlan(IrFunction &fn)
             e.smpPc = instr.smpPc;
             e.ownScaled = block.ownScaled[i];
             e.chargeFrom = block.chargeFrom[i];
+            e.spec = opSpecOf(instr.op, instr.imm);
             if (instr.op == IrOp::Jump) {
                 NOMAP_ASSERT(instr.imm < nblocks);
                 e.imm = fn.flatStart[instr.imm];

@@ -42,11 +42,18 @@ namespace nomap {
 
 /**
  * X-macro list of IR operations, in opcode-value order. The enum, the
- * name table, the static cost table, and the direct-threaded dispatch
- * table in the executor are generated from this one list so they can
- * never fall out of sync.
+ * name table, the static cost table, and the executor spec list below
+ * are generated from this one list so they can never fall out of
+ * sync. It is spelled in three parts so the spec list can replace the
+ * two compares with their per-subop bodies.
  */
 #define NOMAP_IR_OP_LIST(V)                                             \
+    NOMAP_IR_OPS_HEAD(V)                                                \
+    V(CmpInt)          /* dst <- ra (BinaryOp)imm rb, int ops */        \
+    V(CmpDouble)       /* dst <- ra (BinaryOp)imm rb, numeric */        \
+    NOMAP_IR_OPS_TAIL(V)
+
+#define NOMAP_IR_OPS_HEAD(V)                                            \
     V(Nop)                                                              \
     /* ---- Pure value ops -------------------------------------- */    \
     V(Const)           /* dst <- constants[imm] */                      \
@@ -67,9 +74,9 @@ namespace nomap {
     V(ShlInt)                                                           \
     V(ShrInt)                                                           \
     V(UShrInt)                                                          \
-    V(BitNotInt)                                                        \
-    V(CmpInt)          /* dst <- ra (BinaryOp)imm rb, int ops */        \
-    V(CmpDouble)       /* dst <- ra (BinaryOp)imm rb, numeric */        \
+    V(BitNotInt)
+
+#define NOMAP_IR_OPS_TAIL(V)                                            \
     V(ToDouble)        /* dst <- (double)ra */                          \
     V(ToBoolean)       /* dst <- truthiness(ra) */                      \
     V(NotBool)         /* dst <- !ra (ra is boolean) */                 \
@@ -125,6 +132,35 @@ enum class IrOp : uint8_t {
 /** Number of IR operations (dispatch-table size). */
 constexpr size_t kNumIrOps = static_cast<size_t>(IrOp::TxTile) + 1;
 
+/**
+ * X-macro list of executor op specs: the IR ops with each compare
+ * split per BinaryOp subop, so no op body tests its subop at run
+ * time. Each spec has exactly one body, in ftl/op_bodies.inc;
+ * computeChargePlan stamps every ExecInstr with its spec, and both
+ * executor loops dispatch on it. CmpOther keeps the "bad
+ * compare subop" panic for out-of-range immediates.
+ */
+#define NOMAP_OP_SPEC_LIST(V)                                           \
+    NOMAP_IR_OPS_HEAD(V)                                                \
+    V(CmpLt)                                                            \
+    V(CmpLe)                                                            \
+    V(CmpGt)                                                            \
+    V(CmpGe)                                                            \
+    V(CmpEq)                                                            \
+    V(CmpNe)                                                            \
+    V(CmpOther)                                                         \
+    NOMAP_IR_OPS_TAIL(V)
+
+/** Executor op specs (see NOMAP_OP_SPEC_LIST). */
+enum class OpSpec : uint8_t {
+#define NOMAP_OP_SPEC_ENUM(name) name,
+    NOMAP_OP_SPEC_LIST(NOMAP_OP_SPEC_ENUM)
+#undef NOMAP_OP_SPEC_ENUM
+};
+
+/** Number of op specs (dispatch-table size). */
+constexpr size_t kNumOpSpecs = static_cast<size_t>(OpSpec::TxTile) + 1;
+
 /** Sentinel for "no SMP attached". */
 constexpr uint32_t kNoSmp = 0xffffffffu;
 
@@ -173,7 +209,8 @@ struct IrBlock {
  * fields plus the instruction's charge-plan entries, packed so the
  * hot loop touches exactly one 32-byte record per op with no
  * per-block indirection. Jump/Branch targets are rewritten from
- * block ids to flat indices at predecode time.
+ * block ids to flat indices at predecode time, and `spec` fills the
+ * padding after the operands.
  */
 struct ExecInstr {
     IrOp op = IrOp::Nop;
@@ -183,6 +220,8 @@ struct ExecInstr {
     uint16_t a = 0;
     uint16_t b = 0;
     uint16_t c = 0;
+    /** The body this record dispatches to: op, or a compare's subop. */
+    OpSpec spec = OpSpec::Nop;
     /** Jump/Branch: flat index of the target block's first entry. */
     uint32_t imm = 0;
     uint32_t imm2 = 0;
@@ -193,6 +232,7 @@ struct ExecInstr {
     /** Cost of [this .. charge-segment end] (IrBlock::chargeFrom). */
     uint32_t chargeFrom = 0;
 };
+static_assert(sizeof(ExecInstr) == 32, "one 32-byte record per op");
 
 /**
  * One transaction region created by the NoMap planner: TxBegin sits
@@ -266,7 +306,6 @@ struct IrFunction {
 };
 
 // ---- Classification helpers used by passes and executors ---------------
-// Inline: the executor hot loop classifies every executed check op.
 
 /** True for the Check* family. */
 inline bool
@@ -290,30 +329,6 @@ isCheckOp(IrOp op)
 
 /** Figure-3 category of a check op (asserts on non-check ops). */
 CheckKind checkKindOf(IrOp op);
-
-/**
- * checkKindOf without the non-check assert, for call sites that have
- * already established the op is a check.
- */
-inline CheckKind
-checkKindOfUnchecked(IrOp op)
-{
-    switch (op) {
-      case IrOp::CheckBounds:
-      case IrOp::CheckBoundsRange:
-        return CheckKind::Bounds;
-      case IrOp::CheckOverflow:
-        return CheckKind::Overflow;
-      case IrOp::CheckInt32:
-      case IrOp::CheckNumber:
-      case IrOp::CheckArray:
-        return CheckKind::Type;
-      case IrOp::CheckShape:
-        return CheckKind::Property;
-      default:
-        return CheckKind::Other;
-    }
-}
 
 /** True if the op reads heap/global memory. */
 bool readsMemory(IrOp op);

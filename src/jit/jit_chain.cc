@@ -1,131 +1,30 @@
 #include "jit/jit_chain.h"
 
-#include "support/logging.h"
-
 namespace nomap {
-
-const char *
-jitSpecName(JitSpec spec)
-{
-    switch (spec) {
-#define NOMAP_JIT_SPEC_NAME(name)                                       \
-      case JitSpec::name:                                               \
-        return #name;
-        NOMAP_JIT_SPEC_LIST(NOMAP_JIT_SPEC_NAME)
-#undef NOMAP_JIT_SPEC_NAME
-    }
-    return "?";
-}
 
 namespace {
 
-/** Compare subop -> specialized compare template (CmpOther: panic). */
+/** Fused compare+branch template of a compare spec. */
 JitSpec
-cmpSpecOf(uint32_t imm)
-{
-    switch (static_cast<BinaryOp>(imm)) {
-      case BinaryOp::Lt: return JitSpec::CmpLt;
-      case BinaryOp::Le: return JitSpec::CmpLe;
-      case BinaryOp::Gt: return JitSpec::CmpGt;
-      case BinaryOp::Ge: return JitSpec::CmpGe;
-      case BinaryOp::Eq:
-      case BinaryOp::StrictEq: return JitSpec::CmpEq;
-      case BinaryOp::NotEq:
-      case BinaryOp::StrictNotEq: return JitSpec::CmpNe;
-      default: return JitSpec::CmpOther;
-    }
-}
-
-/** Fused compare+branch template of a specialized compare. */
-JitSpec
-cmpBranchSpecOf(JitSpec cmp)
+cmpBranchSpecOf(OpSpec cmp)
 {
     switch (cmp) {
-      case JitSpec::CmpLt: return JitSpec::CmpBranchLt;
-      case JitSpec::CmpLe: return JitSpec::CmpBranchLe;
-      case JitSpec::CmpGt: return JitSpec::CmpBranchGt;
-      case JitSpec::CmpGe: return JitSpec::CmpBranchGe;
-      case JitSpec::CmpEq: return JitSpec::CmpBranchEq;
+      case OpSpec::CmpLt: return JitSpec::CmpBranchLt;
+      case OpSpec::CmpLe: return JitSpec::CmpBranchLe;
+      case OpSpec::CmpGt: return JitSpec::CmpBranchGt;
+      case OpSpec::CmpGe: return JitSpec::CmpBranchGe;
+      case OpSpec::CmpEq: return JitSpec::CmpBranchEq;
       default: return JitSpec::CmpBranchNe;
     }
 }
 
-/** Unfused template of one op (shape-specialized where grouped). */
-JitSpec
-baseSpecOf(const ExecInstr &e)
-{
-    switch (e.op) {
-      case IrOp::Nop: return JitSpec::Nop;
-      case IrOp::Const: return JitSpec::Const;
-      case IrOp::Move: return JitSpec::Move;
-      case IrOp::AddInt: return JitSpec::AddInt;
-      case IrOp::SubInt: return JitSpec::SubInt;
-      case IrOp::MulInt: return JitSpec::MulInt;
-      case IrOp::NegInt: return JitSpec::NegInt;
-      case IrOp::AddDouble: return JitSpec::AddDouble;
-      case IrOp::SubDouble: return JitSpec::SubDouble;
-      case IrOp::MulDouble: return JitSpec::MulDouble;
-      case IrOp::DivDouble: return JitSpec::DivDouble;
-      case IrOp::ModDouble: return JitSpec::ModDouble;
-      case IrOp::NegDouble: return JitSpec::NegDouble;
-      case IrOp::BitAndInt: return JitSpec::BitAndInt;
-      case IrOp::BitOrInt: return JitSpec::BitOrInt;
-      case IrOp::BitXorInt: return JitSpec::BitXorInt;
-      case IrOp::ShlInt: return JitSpec::ShlInt;
-      case IrOp::ShrInt: return JitSpec::ShrInt;
-      case IrOp::UShrInt: return JitSpec::UShrInt;
-      case IrOp::BitNotInt: return JitSpec::BitNotInt;
-      case IrOp::CmpInt:
-      case IrOp::CmpDouble: return cmpSpecOf(e.imm);
-      case IrOp::ToDouble: return JitSpec::ToDouble;
-      case IrOp::ToBoolean: return JitSpec::ToBoolean;
-      case IrOp::NotBool: return JitSpec::NotBool;
-      case IrOp::CheckInt32: return JitSpec::CheckInt32;
-      case IrOp::CheckNumber: return JitSpec::CheckNumber;
-      case IrOp::CheckShape: return JitSpec::CheckShape;
-      case IrOp::CheckArray: return JitSpec::CheckArray;
-      case IrOp::CheckIndexInt: return JitSpec::CheckIndexInt;
-      case IrOp::CheckBounds: return JitSpec::CheckBounds;
-      case IrOp::CheckBoundsRange: return JitSpec::CheckBoundsRange;
-      case IrOp::CheckOverflow: return JitSpec::CheckOverflow;
-      case IrOp::CheckNotHole: return JitSpec::CheckNotHole;
-      case IrOp::GetSlot: return JitSpec::GetSlot;
-      case IrOp::SetSlot: return JitSpec::SetSlot;
-      case IrOp::GetArrayLen: return JitSpec::GetArrayLen;
-      case IrOp::GetElem: return JitSpec::GetElem;
-      case IrOp::SetElem: return JitSpec::SetElem;
-      case IrOp::LoadGlobal: return JitSpec::LoadGlobal;
-      case IrOp::StoreGlobal: return JitSpec::StoreGlobal;
-      case IrOp::GenericBinary: return JitSpec::GenericBinary;
-      case IrOp::GenericUnary: return JitSpec::GenericUnary;
-      case IrOp::GenericGetProp: return JitSpec::GenericGetProp;
-      case IrOp::GenericSetProp: return JitSpec::GenericSetProp;
-      case IrOp::GenericGetIndex: return JitSpec::GenericGetIndex;
-      case IrOp::GenericSetIndex: return JitSpec::GenericSetIndex;
-      case IrOp::NewArray: return JitSpec::NewArray;
-      case IrOp::NewObject: return JitSpec::NewObject;
-      case IrOp::Call: return JitSpec::Call;
-      case IrOp::CallNative: return JitSpec::CallNative;
-      case IrOp::Intrinsic: return JitSpec::Intrinsic;
-      case IrOp::CallMethod: return JitSpec::CallMethod;
-      case IrOp::Jump: return JitSpec::Jump;
-      case IrOp::Branch: return JitSpec::Branch;
-      case IrOp::Return: return JitSpec::Return;
-      case IrOp::ReturnUndef: return JitSpec::ReturnUndef;
-      case IrOp::TxBegin: return JitSpec::TxBegin;
-      case IrOp::TxEnd: return JitSpec::TxEnd;
-      case IrOp::TxTile: return JitSpec::TxTile;
-    }
-    panic("jit: unmapped IR op");
-}
-
 /** Fused int-arith+overflow-check template of an int-arith spec. */
 JitSpec
-arithChkOvfSpecOf(IrOp op)
+arithChkOvfSpecOf(OpSpec arith)
 {
-    switch (op) {
-      case IrOp::AddInt: return JitSpec::AddIntChkOvf;
-      case IrOp::SubInt: return JitSpec::SubIntChkOvf;
+    switch (arith) {
+      case OpSpec::AddInt: return JitSpec::AddIntChkOvf;
+      case OpSpec::SubInt: return JitSpec::SubIntChkOvf;
       default: return JitSpec::MulIntChkOvf;
     }
 }
@@ -165,7 +64,7 @@ buildJitChain(IrFunction &ir)
     for (size_t i = 0; i < n; ++i) {
         const ExecInstr &e = flat[i];
         JitInstr &r = chain->records[i];
-        r.spec = baseSpecOf(e);
+        r.spec = static_cast<JitSpec>(e.spec);
         r.op = e.op;
         r.converted = e.converted;
         r.dst = e.dst;
@@ -189,14 +88,14 @@ buildJitChain(IrFunction &ir)
         if (chain->aware || i + 1 >= n || isTarget[i + 1])
             continue;
         const ExecInstr &next = flat[i + 1];
-        bool cmp = (e.op == IrOp::CmpInt || e.op == IrOp::CmpDouble) &&
-                   r.spec != JitSpec::CmpOther;
+        bool cmp = e.spec >= OpSpec::CmpLt && e.spec <= OpSpec::CmpNe;
+        bool arith = e.spec == OpSpec::AddInt ||
+                     e.spec == OpSpec::SubInt || e.spec == OpSpec::MulInt;
         if (cmp && next.op == IrOp::Branch && next.a == e.dst) {
-            r.spec = cmpBranchSpecOf(r.spec);
-        } else if ((e.op == IrOp::AddInt || e.op == IrOp::SubInt ||
-                    e.op == IrOp::MulInt) &&
-                   next.op == IrOp::CheckOverflow && next.a == e.dst) {
-            r.spec = arithChkOvfSpecOf(e.op);
+            r.spec = cmpBranchSpecOf(e.spec);
+        } else if (arith && next.op == IrOp::CheckOverflow &&
+                   next.a == e.dst) {
+            r.spec = arithChkOvfSpecOf(e.spec);
         }
     }
 

@@ -19,15 +19,15 @@
  *    ExecInstr, so the handler reads its operands from the record it
  *    dispatched through.
  *
- * Shape specialization happens at bind time (buildJitChain):
- * grouped FTL bodies are split per opcode (AddInt/SubInt/MulInt each
- * get their own template), compare ops are split per BinaryOp subop
- * (the subop test disappears from the hot path), and — in regions
- * that contain no transaction-boundary ops — adjacent records are
- * fused into superinstruction templates (compare+branch,
- * int-arith+overflow-check) that execute both records in one handler
- * with the exact same observable charge/check/injection sequence as
- * the FTL executor running them separately.
+ * Shape specialization is already done in the flat stream: each
+ * ExecInstr carries its op spec (split per opcode, compares per
+ * BinaryOp subop), and buildJitChain copies it. The chain's own
+ * decision is fusion: in regions that contain no transaction-boundary
+ * ops, adjacent records are fused into superinstruction templates
+ * (compare+branch, int-arith+overflow-check) that execute both
+ * records in one handler with the exact same observable
+ * charge/check/injection sequence as the FTL executor running them
+ * separately.
  *
  * Region boundaries are inherited wholesale from the flat stream:
  * records keep their flat indices (Jump/Branch targets remain valid),
@@ -45,86 +45,13 @@
 namespace nomap {
 
 /**
- * X-macro list of handler templates (the specs), one per
- * (opcode, operand-shape) pair. Order defines the JitSpec enum and
- * the label-capture table in the executor; keep the two lists (here
- * and jit_executor.cc's JIT_CASE bodies) in sync — a static_assert on
- * the table size enforces it.
- *
- * Cmp* specs bake the BinaryOp subop; CmpOther preserves the FTL
- * executor's "bad compare subop" panic for out-of-range immediates.
- * The CmpBranch and ArithChkOvf entries are the fused
- * superinstruction templates (bound only in non-tx-aware chains; the
- * second record of a fused pair keeps its standalone binding so jump
- * targets may still land on it).
+ * X-macro list of the fused superinstruction templates, the only
+ * template bodies the jit loop writes itself (every unfused spec's
+ * body is the shared one in ftl/op_bodies.inc). Bound only in
+ * non-tx-aware chains; the second record of a fused pair keeps its
+ * standalone binding so jump targets may still land on it.
  */
-#define NOMAP_JIT_SPEC_LIST(V)                                          \
-    V(Nop)                                                              \
-    V(Const)                                                            \
-    V(Move)                                                             \
-    V(AddInt)                                                           \
-    V(SubInt)                                                           \
-    V(MulInt)                                                           \
-    V(NegInt)                                                           \
-    V(AddDouble)                                                        \
-    V(SubDouble)                                                        \
-    V(MulDouble)                                                        \
-    V(DivDouble)                                                        \
-    V(ModDouble)                                                        \
-    V(NegDouble)                                                        \
-    V(BitAndInt)                                                        \
-    V(BitOrInt)                                                         \
-    V(BitXorInt)                                                        \
-    V(ShlInt)                                                           \
-    V(ShrInt)                                                           \
-    V(UShrInt)                                                          \
-    V(BitNotInt)                                                        \
-    V(CmpLt)                                                            \
-    V(CmpLe)                                                            \
-    V(CmpGt)                                                            \
-    V(CmpGe)                                                            \
-    V(CmpEq)                                                            \
-    V(CmpNe)                                                            \
-    V(CmpOther)                                                         \
-    V(ToDouble)                                                         \
-    V(ToBoolean)                                                        \
-    V(NotBool)                                                          \
-    V(CheckInt32)                                                       \
-    V(CheckNumber)                                                      \
-    V(CheckShape)                                                       \
-    V(CheckArray)                                                       \
-    V(CheckIndexInt)                                                    \
-    V(CheckBounds)                                                      \
-    V(CheckBoundsRange)                                                 \
-    V(CheckOverflow)                                                    \
-    V(CheckNotHole)                                                     \
-    V(GetSlot)                                                          \
-    V(SetSlot)                                                          \
-    V(GetArrayLen)                                                      \
-    V(GetElem)                                                          \
-    V(SetElem)                                                          \
-    V(LoadGlobal)                                                       \
-    V(StoreGlobal)                                                      \
-    V(GenericBinary)                                                    \
-    V(GenericUnary)                                                     \
-    V(GenericGetProp)                                                   \
-    V(GenericSetProp)                                                   \
-    V(GenericGetIndex)                                                  \
-    V(GenericSetIndex)                                                  \
-    V(NewArray)                                                         \
-    V(NewObject)                                                        \
-    V(Call)                                                             \
-    V(CallNative)                                                       \
-    V(Intrinsic)                                                        \
-    V(CallMethod)                                                       \
-    V(Jump)                                                             \
-    V(Branch)                                                           \
-    V(Return)                                                           \
-    V(ReturnUndef)                                                      \
-    V(TxBegin)                                                          \
-    V(TxEnd)                                                            \
-    V(TxTile)                                                           \
-    /* ---- Fused superinstruction templates -------------------- */    \
+#define NOMAP_JIT_FUSED_SPEC_LIST(V)                                    \
     V(CmpBranchLt)                                                      \
     V(CmpBranchLe)                                                      \
     V(CmpBranchGt)                                                      \
@@ -135,31 +62,33 @@ namespace nomap {
     V(SubIntChkOvf)                                                     \
     V(MulIntChkOvf)
 
-/** Handler-template ids (see NOMAP_JIT_SPEC_LIST). */
-enum class JitSpec : uint16_t {
+/**
+ * Handler-template ids: the unfused op specs (same values as OpSpec,
+ * so a flat record's spec converts by cast) followed by the fused
+ * templates.
+ */
+enum class JitSpec : uint8_t {
 #define NOMAP_JIT_SPEC_ENUM(name) name,
-    NOMAP_JIT_SPEC_LIST(NOMAP_JIT_SPEC_ENUM)
+    NOMAP_OP_SPEC_LIST(NOMAP_JIT_SPEC_ENUM)
+    NOMAP_JIT_FUSED_SPEC_LIST(NOMAP_JIT_SPEC_ENUM)
 #undef NOMAP_JIT_SPEC_ENUM
 };
+static_assert(static_cast<size_t>(JitSpec::TxTile) + 1 == kNumOpSpecs);
 
 /** Number of handler templates (label-table size). */
 constexpr size_t kNumJitSpecs =
     static_cast<size_t>(JitSpec::MulIntChkOvf) + 1;
 
-/** Printable spec name (tests, debugging). */
-const char *jitSpecName(JitSpec spec);
-
 /**
  * One linked region record: the bound template continuation plus this
  * record's literal-pool slice. Field meanings match ExecInstr
  * (ir/ir.h); `fn` is filled by JitExecutor when the chain is bound
- * against a feature mask (computed-goto builds only — the portable
- * fallback dispatches on `spec`).
+ * against a feature mask.
  */
 struct JitInstr {
     /** Bound handler-template address (label of the live variant). */
     const void *fn = nullptr;
-    /** Handler template this record dispatches to. */
+    /** Handler template: the flat record's spec, or its fused form. */
     JitSpec spec = JitSpec::Nop;
     /** Original op (kept for introspection/validation, not dispatch). */
     IrOp op = IrOp::Nop;
@@ -205,9 +134,9 @@ struct JitChain {
 };
 
 /**
- * Compile @p ir's flat stream into a region chain: assign one
- * specialized template per record, fuse superinstruction pairs where
- * legal, and copy the literal pool. Computes the charge plan first if
+ * Compile @p ir's flat stream into a region chain: copy each record
+ * (spec included) into the literal pool and fuse superinstruction
+ * pairs where legal. Computes the charge plan first if
  * the function never went through compileFunction (hand-built IR in
  * tests). The chain holds no pointers into @p ir.
  */

@@ -5,48 +5,40 @@
 #include "support/logging.h"
 
 /**
- * Template dispatch — the continuation-chain evolution of the FTL
- * executor's direct threading (ftl/ir_executor.cc, which this file
- * mirrors body for body; any observable divergence is a bug caught by
- * tests/test_jit.cc).
+ * Template dispatch — the continuation-chain form of the FTL
+ * executor's direct threading. The unfused op bodies are not written
+ * here: this loop expands the same ftl/op_bodies.inc the FTL loop
+ * does, and supplies only the dispatch around them plus the fused
+ * superinstruction templates, which are composed from that file's
+ * helpers.
  *
- * With NOMAP_COMPUTED_GOTO every template body ends in JIT_NEXT():
- * advance ip, run the per-op accounting/watchdog preamble, then jump
- * straight through the next record's bound label (`goto *ip->fn`).
- * The indirect branch is *replicated into every template* instead of
- * funneling through one shared dispatch site, and the target comes
- * out of the record itself — no dispatch-table load, no opcode
- * decode. Without computed goto the templates compile as a portable
- * switch over JitSpec and JIT_NEXT() loops back to the switch head.
+ * Every body ends in OP_NEXT(): advance ip, run the per-op
+ * accounting/watchdog preamble, then jump straight through the next
+ * record's bound label (`goto *ip->fn`). The indirect branch is
+ * *replicated into every template* instead of funneling through one
+ * shared dispatch site, and the target comes out of the record itself
+ * — no dispatch-table load, no opcode decode.
  *
  * Control-flow templates (Jump/Branch/fused compare+branch) and
  * transaction boundaries re-enter at jit_seg_entry, which opens a new
  * batched charge segment exactly like the FTL executor's
  * vm_seg_entry.
  */
-#if defined(NOMAP_COMPUTED_GOTO)
-#define JIT_CASE(name) lbl_##name:
-#define JIT_NEXT()                                                      \
+#define OP_NEXT()                                                       \
     do {                                                                \
         ++ip;                                                           \
         JIT_PEROP();                                                    \
         goto *ip->fn;                                                   \
     } while (0)
-#else
-#define JIT_CASE(name) case JitSpec::name:
-#define JIT_NEXT()                                                      \
-    do {                                                                \
-        ++ip;                                                           \
-        goto jit_top;                                                   \
-    } while (0)
-#endif
 
 /** The op just executed ends its charge segment (tx boundary). */
-#define JIT_NEXT_NEWSEG()                                               \
+#define OP_NEXT_NEWSEG()                                                \
     do {                                                                \
         ++ip;                                                           \
         goto jit_seg_entry;                                             \
     } while (0)
+
+#define OP_ENTER_SEG() goto jit_seg_entry
 
 /**
  * Per-op preamble, identical to the FTL executor's vm_top: per-op
@@ -100,169 +92,39 @@
     } while (0)
 
 /**
- * Shared tail of every check template, mirroring the FTL executor's
- * injection/deopt/converted-abort sequence exactly (same injection
- * sites fired in the same order, same deopt counter/trace event, same
- * refund and Baseline re-entry). @p kindConst / @p siteConst are the
- * template's baked CheckKind and injection site; `pass` must be in
- * scope.
- */
-#define JIT_CHECK_TAIL(kindConst, siteConst)                            \
-    do {                                                                \
-        if constexpr (kInject) {                                        \
-            if (pass) {                                                 \
-                bool force = env.inj->fire(siteConst);                  \
-                force |= env.inj->fire(FaultSite::CheckAny);            \
-                if (!ip->converted && ip->smpPc != kNoSmp) {            \
-                    force |= env.inj->fire(FaultSite::FtlOsr,           \
-                                           ip->smpPc);                  \
-                }                                                       \
-                if (force &&                                            \
-                    (ip->converted ? env.htm.inTransaction()            \
-                                   : ip->smpPc != kNoSmp)) {            \
-                    pass = false;                                       \
-                }                                                       \
-            }                                                           \
-        }                                                               \
-        if (pass)                                                       \
-            JIT_NEXT();                                                 \
-        if (!ip->converted) {                                           \
-            ++env.acct.stats().deopts;                                  \
-            NOMAP_ASSERT(ip->smpPc != kNoSmp);                          \
-            if constexpr (kTrace) {                                     \
-                TraceEvent event;                                       \
-                event.vcycles = env.acct.virtualCycles();               \
-                event.type = TraceEventType::Deopt;                     \
-                event.code = static_cast<uint8_t>(kindConst);           \
-                event.funcId = ir.funcId;                               \
-                event.pc = ip->smpPc;                                   \
-                env.trace->emit(event);                                 \
-            }                                                           \
-            if constexpr (kBatched)                                     \
-                refundAfterCurrent();                                   \
-            std::vector<Value> locals(R, R + ir.bytecodeRegs);          \
-            return baseline.runFrom(fn, locals, ip->smpPc);             \
-        }                                                               \
-        env.acct.chargeCycles(                                          \
-            env.htm.abort(AbortCode::ExplicitCheck));                   \
-        if (!tx_owner) {                                                \
-            sync_tx_flag();                                             \
-            throw TxAbortUnwind{AbortCode::ExplicitCheck};              \
-        }                                                               \
-        if constexpr (kBatched)                                         \
-            refundAfterCurrent();                                       \
-        return resume_baseline();                                       \
-    } while (0)
-
-// Shape-specialized body stamps. Each expands the shared guarded
-// structure of its FTL counterpart with the operator baked in; the
-// result lands in R[ip->dst] and (for int arithmetic) OVF[ip->dst].
-#define JIT_INT_ARITH(wide_expr)                                        \
-    Value va = R[ip->a];                                                \
-    Value vb = R[ip->b];                                                \
-    if (!va.isInt32() || !vb.isInt32()) {                               \
-        NOMAP_ASSERT(env.htm.inTransaction());                          \
-        R[ip->dst] = garbageValue();                                    \
-        OVF[ip->dst] = 0;                                               \
-    } else {                                                            \
-        int64_t wide = (wide_expr);                                     \
-        bool ovf = wide < INT32_MIN || wide > INT32_MAX;                \
-        R[ip->dst] = Value::int32(static_cast<int32_t>(wide));          \
-        OVF[ip->dst] = ovf;                                             \
-        if (ovf && env.htm.inTransaction())                             \
-            env.htm.noteArithmeticOverflow();                           \
-    }
-
-#define JIT_DOUBLE_ARITH(result_expr)                                   \
-    Value va = R[ip->a];                                                \
-    Value vb = R[ip->b];                                                \
-    if (!va.isNumber() || !vb.isNumber()) {                             \
-        NOMAP_ASSERT(env.htm.inTransaction());                          \
-        R[ip->dst] = garbageValue();                                    \
-    } else {                                                            \
-        double x = va.asNumber();                                       \
-        double y = vb.asNumber();                                       \
-        R[ip->dst] = Value::number(result_expr);                        \
-    }
-
-#define JIT_BITWISE(result_expr)                                        \
-    Value va = R[ip->a];                                                \
-    Value vb = R[ip->b];                                                \
-    if (!va.isInt32() || !vb.isInt32()) {                               \
-        NOMAP_ASSERT(env.htm.inTransaction());                          \
-        R[ip->dst] = garbageValue();                                    \
-    } else {                                                            \
-        int32_t x = va.asInt32();                                       \
-        [[maybe_unused]] uint32_t sh =                                  \
-            static_cast<uint32_t>(vb.asInt32()) & 31;                   \
-        R[ip->dst] = (result_expr);                                     \
-    }
-
-#define JIT_CMP(cmp_expr)                                               \
-    Value va = R[ip->a];                                                \
-    Value vb = R[ip->b];                                                \
-    if (!va.isNumber() || !vb.isNumber()) {                             \
-        NOMAP_ASSERT(env.htm.inTransaction());                          \
-        R[ip->dst] = Value::boolean(false);                             \
-    } else {                                                            \
-        double x = va.asNumber();                                       \
-        double y = vb.asNumber();                                       \
-        R[ip->dst] = Value::boolean(cmp_expr);                          \
-    }
-
-/**
  * Fused compare+branch: the compare result still lands in
  * R[cmp.dst] (the register is part of the baseline mirror a later
  * deopt may hand over), then the Branch record executes in the same
- * template. The FTL Branch body's toBoolean() of the freshly stored
+ * template. The Branch body's toBoolean() of the freshly stored
  * boolean is the boolean itself, so the branch takes `taken`
  * directly. Garbage path (non-numeric operands inside a transaction)
  * stores false and falls through, exactly like Cmp-then-Branch.
  */
-#define JIT_CMP_BRANCH(cmp_expr)                                        \
-    do {                                                                \
-        Value va = R[ip->a];                                            \
-        Value vb = R[ip->b];                                            \
-        bool taken;                                                     \
-        if (!va.isNumber() || !vb.isNumber()) {                         \
-            NOMAP_ASSERT(env.htm.inTransaction());                      \
-            R[ip->dst] = Value::boolean(false);                         \
-            taken = false;                                              \
-        } else {                                                        \
-            double x = va.asNumber();                                   \
-            double y = vb.asNumber();                                   \
-            taken = (cmp_expr);                                         \
-            R[ip->dst] = Value::boolean(taken);                         \
-        }                                                               \
+#define JIT_CMP_BRANCH(name, cmp_expr)                                  \
+    lbl_CmpBranch##name : {                                             \
+        OP_CMP(cmp_expr)                                                \
         JIT_FUSED_ADVANCE();                                            \
         ip = base + (taken ? ip->imm : ip->imm2);                       \
         goto jit_seg_entry;                                             \
-    } while (0)
+    }
 
-/** Fused int-arith + CheckOverflow on the arith's destination. */
-#define JIT_ARITH_CHK_OVF(wide_expr)                                    \
-    do {                                                                \
-        JIT_INT_ARITH(wide_expr)                                        \
+/**
+ * Fused int-arith + CheckOverflow on the arith's destination. The
+ * check is spelled out rather than reached by a jump into the
+ * CheckOverflow body, so each fused template keeps its own
+ * replicated dispatch branch.
+ */
+#define JIT_ARITH_CHK_OVF(arith, wide_expr)                             \
+    lbl_##arith##ChkOvf : {                                             \
+        OP_INT_ARITH(wide_expr)                                         \
         JIT_FUSED_ADVANCE();                                            \
         if (ftl)                                                        \
             env.acct.recordCheck(CheckKind::Overflow);                  \
         bool pass = !OVF[ip->a];                                        \
-        JIT_CHECK_TAIL(CheckKind::Overflow,                             \
-                       FaultSite::CheckOverflow);                       \
-    } while (0)
+        OP_CHECK_TAIL(CheckKind::Overflow, FaultSite::CheckOverflow);   \
+    }
 
 namespace nomap {
-
-namespace {
-
-/** Deterministic garbage produced by unguarded speculative ops. */
-Value
-garbageValue()
-{
-    return Value::int32(0);
-}
-
-} // namespace
 
 JitExecutor::JitExecutor(ExecEnv &env_, BytecodeExecutor &baseline_,
                          const EngineConfig &config_)
@@ -289,7 +151,6 @@ JitExecutor::labels()
 void
 JitExecutor::bind(JitChain &chain, unsigned feat)
 {
-#if defined(NOMAP_COMPUTED_GOTO)
     const LabelTable *table = nullptr;
     switch ((chain.aware ? 8u : 0u) | feat) {
 #define NOMAP_JIT_BIND_CASE(f, a)                                       \
@@ -318,7 +179,6 @@ JitExecutor::bind(JitChain &chain, unsigned feat)
     }
     for (JitInstr &r : chain.records)
         r.fn = (*table)[static_cast<size_t>(r.spec)];
-#endif
     chain.boundFeat = feat;
 }
 
@@ -378,15 +238,14 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
     // -Wdangling-pointer misreads &&label as a local's address; label
     // addresses are code addresses, valid for the process lifetime.
     if (capture) {
-#if defined(NOMAP_COMPUTED_GOTO)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wdangling-pointer"
 #define NOMAP_JIT_CAPTURE(name)                                         \
         capture[static_cast<size_t>(JitSpec::name)] = &&lbl_##name;
-        NOMAP_JIT_SPEC_LIST(NOMAP_JIT_CAPTURE)
+        NOMAP_OP_SPEC_LIST(NOMAP_JIT_CAPTURE)
+        NOMAP_JIT_FUSED_SPEC_LIST(NOMAP_JIT_CAPTURE)
 #undef NOMAP_JIT_CAPTURE
 #pragma GCC diagnostic pop
-#endif
         return Value::undefined();
     }
 
@@ -462,595 +321,28 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
                                         ir.txAware);
         }
 
-#if !defined(NOMAP_COMPUTED_GOTO)
-    jit_top:
-#endif
         JIT_PEROP();
+        goto *ip->fn;
 
-        {
-#if defined(NOMAP_COMPUTED_GOTO)
-            goto *ip->fn;
-#else
-            switch (ip->spec)
-#endif
-            {
-              JIT_CASE(Nop)
-                JIT_NEXT();
-              JIT_CASE(Const)
-                R[ip->dst] = consts[ip->imm];
-                JIT_NEXT();
-              JIT_CASE(Move)
-                R[ip->dst] = R[ip->a];
-                OVF[ip->dst] = OVF[ip->a];
-                JIT_NEXT();
+#include "ftl/op_bodies.inc"
 
-              // ---- Integer arithmetic (sets the overflow flag) -----
-              JIT_CASE(AddInt) {
-                JIT_INT_ARITH(static_cast<int64_t>(va.asInt32()) +
-                              vb.asInt32())
-                JIT_NEXT();
-              }
-              JIT_CASE(SubInt) {
-                JIT_INT_ARITH(static_cast<int64_t>(va.asInt32()) -
-                              vb.asInt32())
-                JIT_NEXT();
-              }
-              JIT_CASE(MulInt) {
-                JIT_INT_ARITH(static_cast<int64_t>(va.asInt32()) *
-                              vb.asInt32())
-                JIT_NEXT();
-              }
-              JIT_CASE(NegInt) {
-                Value va = R[ip->a];
-                if (!va.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    JIT_NEXT();
-                }
-                int32_t x = va.asInt32();
-                bool ovf = (x == 0) || (x == INT32_MIN);
-                R[ip->dst] =
-                    Value::int32(ovf && x == INT32_MIN ? x : -x);
-                OVF[ip->dst] = ovf;
-                if (ovf && env.htm.inTransaction())
-                    env.htm.noteArithmeticOverflow();
-                JIT_NEXT();
-              }
-
-              // ---- Double arithmetic -------------------------------
-              JIT_CASE(AddDouble) {
-                JIT_DOUBLE_ARITH(x + y)
-                JIT_NEXT();
-              }
-              JIT_CASE(SubDouble) {
-                JIT_DOUBLE_ARITH(x - y)
-                JIT_NEXT();
-              }
-              JIT_CASE(MulDouble) {
-                JIT_DOUBLE_ARITH(x * y)
-                JIT_NEXT();
-              }
-              JIT_CASE(DivDouble) {
-                JIT_DOUBLE_ARITH(x / y)
-                JIT_NEXT();
-              }
-              JIT_CASE(ModDouble) {
-                JIT_DOUBLE_ARITH(std::fmod(x, y))
-                JIT_NEXT();
-              }
-              JIT_CASE(NegDouble) {
-                Value va = R[ip->a];
-                if (!va.isNumber()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    JIT_NEXT();
-                }
-                R[ip->dst] = Value::boxDouble(-va.asNumber());
-                JIT_NEXT();
-              }
-
-              // ---- Bitwise / shifts --------------------------------
-              JIT_CASE(BitAndInt) {
-                JIT_BITWISE(Value::int32(x & vb.asInt32()))
-                JIT_NEXT();
-              }
-              JIT_CASE(BitOrInt) {
-                JIT_BITWISE(Value::int32(x | vb.asInt32()))
-                JIT_NEXT();
-              }
-              JIT_CASE(BitXorInt) {
-                JIT_BITWISE(Value::int32(x ^ vb.asInt32()))
-                JIT_NEXT();
-              }
-              JIT_CASE(ShlInt) {
-                JIT_BITWISE(Value::int32(x << sh))
-                JIT_NEXT();
-              }
-              JIT_CASE(ShrInt) {
-                JIT_BITWISE(Value::int32(x >> sh))
-                JIT_NEXT();
-              }
-              JIT_CASE(UShrInt) {
-                JIT_BITWISE(Value::number(static_cast<double>(
-                    static_cast<uint32_t>(x) >> sh)))
-                JIT_NEXT();
-              }
-              JIT_CASE(BitNotInt) {
-                Value va = R[ip->a];
-                if (!va.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    JIT_NEXT();
-                }
-                R[ip->dst] = Value::int32(~va.asInt32());
-                JIT_NEXT();
-              }
-
-              // ---- Comparisons (subop baked per template) ----------
-              JIT_CASE(CmpLt) {
-                JIT_CMP(x < y)
-                JIT_NEXT();
-              }
-              JIT_CASE(CmpLe) {
-                JIT_CMP(x <= y)
-                JIT_NEXT();
-              }
-              JIT_CASE(CmpGt) {
-                JIT_CMP(x > y)
-                JIT_NEXT();
-              }
-              JIT_CASE(CmpGe) {
-                JIT_CMP(x >= y)
-                JIT_NEXT();
-              }
-              JIT_CASE(CmpEq) {
-                JIT_CMP(x == y)
-                JIT_NEXT();
-              }
-              JIT_CASE(CmpNe) {
-                JIT_CMP(x != y)
-                JIT_NEXT();
-              }
-              JIT_CASE(CmpOther)
-                panic("bad compare subop");
-
-              JIT_CASE(ToDouble)
-                R[ip->dst] = Value::boxDouble(R[ip->a].asNumber());
-                JIT_NEXT();
-              JIT_CASE(ToBoolean)
-                R[ip->dst] =
-                    Value::boolean(env.runtime.toBoolean(R[ip->a]));
-                JIT_NEXT();
-              JIT_CASE(NotBool)
-                R[ip->dst] = Value::boolean(!R[ip->a].asBoolean());
-                JIT_NEXT();
-
-              // ---- Checks (kind and site baked per template) -------
-              JIT_CASE(CheckInt32) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Type);
-                bool pass = R[ip->a].isInt32();
-                JIT_CHECK_TAIL(CheckKind::Type, FaultSite::CheckType);
-              }
-              JIT_CASE(CheckNumber) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Type);
-                bool pass = R[ip->a].isNumber();
-                JIT_CHECK_TAIL(CheckKind::Type, FaultSite::CheckType);
-              }
-              JIT_CASE(CheckShape) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Property);
-                Value va = R[ip->a];
-                bool pass = va.isObject() &&
-                            env.heap.object(va.payload()).shape ==
-                                ip->imm;
-                JIT_CHECK_TAIL(CheckKind::Property,
-                               FaultSite::CheckProperty);
-              }
-              JIT_CASE(CheckArray) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Type);
-                bool pass = R[ip->a].isArray();
-                JIT_CHECK_TAIL(CheckKind::Type, FaultSite::CheckType);
-              }
-              JIT_CASE(CheckIndexInt) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Other);
-                bool pass = R[ip->a].isInt32();
-                JIT_CHECK_TAIL(CheckKind::Other,
-                               FaultSite::CheckOther);
-              }
-              JIT_CASE(CheckBounds) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Bounds);
-                Value va = R[ip->a];
-                Value vi = R[ip->b];
-                bool pass = va.isArray() && vi.isInt32() &&
-                            vi.asInt32() >= 0 &&
-                            static_cast<uint32_t>(vi.asInt32()) <
-                                env.heap.array(va.payload()).length();
-                JIT_CHECK_TAIL(CheckKind::Bounds,
-                               FaultSite::CheckBounds);
-              }
-              JIT_CASE(CheckBoundsRange) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Bounds);
-                Value va = R[ip->a];
-                Value lo = R[ip->b];
-                Value hi = R[ip->c];
-                bool pass;
-                if (!lo.isInt32() || !hi.isInt32() || !va.isArray()) {
-                    pass = false;
-                } else if (hi.asInt32() < lo.asInt32()) {
-                    pass = true; // Zero-trip loop: vacuous.
-                } else {
-                    pass = lo.asInt32() >= 0 &&
-                           static_cast<uint32_t>(hi.asInt32()) <
-                               env.heap.array(va.payload()).length();
-                }
-                JIT_CHECK_TAIL(CheckKind::Bounds,
-                               FaultSite::CheckBounds);
-              }
-              JIT_CASE(CheckOverflow) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Overflow);
-                bool pass = !OVF[ip->a];
-                JIT_CHECK_TAIL(CheckKind::Overflow,
-                               FaultSite::CheckOverflow);
-              }
-              JIT_CASE(CheckNotHole) {
-                if (ftl)
-                    env.acct.recordCheck(CheckKind::Other);
-                bool pass = !R[ip->a].isUndefined();
-                JIT_CHECK_TAIL(CheckKind::Other,
-                               FaultSite::CheckOther);
-              }
-
-              // ---- Memory ------------------------------------------
-              JIT_CASE(GetSlot) {
-                Value va = R[ip->a];
-                if (!va.isObject()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    JIT_NEXT();
-                }
-                const JsObject &obj = env.heap.object(va.payload());
-                if (ip->imm >= obj.slots.size()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    JIT_NEXT();
-                }
-                R[ip->dst] = obj.slots[ip->imm];
-                env.memAccess(obj.baseAddr + 8ull * ip->imm, false);
-                JIT_NEXT();
-              }
-              JIT_CASE(SetSlot) {
-                Value va = R[ip->a];
-                if (!va.isObject()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    JIT_NEXT(); // Speculative store to nowhere.
-                }
-                const JsObject &obj = env.heap.object(va.payload());
-                if (ip->imm >= obj.slots.size()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    JIT_NEXT(); // Speculative store to nowhere.
-                }
-                env.heap.setSlot(va.payload(), ip->imm, R[ip->b]);
-                env.memAccess(obj.baseAddr + 8ull * ip->imm, true);
-                JIT_NEXT();
-              }
-              JIT_CASE(GetArrayLen) {
-                Value va = R[ip->a];
-                if (!va.isArray()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    JIT_NEXT();
-                }
-                const JsArray &arr = env.heap.array(va.payload());
-                R[ip->dst] = Value::int32(
-                    static_cast<int32_t>(arr.length()));
-                env.memAccess(arr.baseAddr, false);
-                JIT_NEXT();
-              }
-              JIT_CASE(GetElem) {
-                Value va = R[ip->a];
-                Value vi = R[ip->b];
-                if (!va.isArray() || !vi.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    JIT_NEXT();
-                }
-                const JsArray &arr = env.heap.array(va.payload());
-                int32_t i = vi.asInt32();
-                if (i < 0 ||
-                    static_cast<uint32_t>(i) >= arr.length()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    R[ip->dst] = garbageValue();
-                    if (i >= 0) {
-                        env.memAccess(
-                            arr.baseAddr +
-                                8ull * static_cast<uint32_t>(i),
-                            false);
-                    }
-                    JIT_NEXT();
-                }
-                R[ip->dst] = arr.storage[static_cast<size_t>(i)];
-                env.memAccess(arr.baseAddr +
-                                  8ull * static_cast<uint32_t>(i),
-                              false);
-                JIT_NEXT();
-              }
-              JIT_CASE(SetElem) {
-                Value va = R[ip->a];
-                Value vi = R[ip->b];
-                if (!va.isArray() || !vi.isInt32()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    JIT_NEXT();
-                }
-                const JsArray &arr = env.heap.array(va.payload());
-                int32_t i = vi.asInt32();
-                if (i < 0 ||
-                    static_cast<uint32_t>(i) >= arr.length()) {
-                    NOMAP_ASSERT(env.htm.inTransaction());
-                    if (i >= 0) {
-                        Addr addr = arr.baseAddr +
-                                    8ull * static_cast<uint32_t>(i);
-                        if (!env.htm.recordWrite(addr))
-                            throw TxAbortUnwind{AbortCode::Capacity};
-                        env.memAccess(addr, true);
-                    }
-                    JIT_NEXT(); // Speculative OOB store: dropped.
-                }
-                env.heap.setElementFast(va.payload(),
-                                        static_cast<uint32_t>(i),
-                                        R[ip->c]);
-                env.memAccess(arr.baseAddr +
-                                  8ull * static_cast<uint32_t>(i),
-                              true);
-                JIT_NEXT();
-              }
-              JIT_CASE(LoadGlobal)
-                R[ip->dst] = env.heap.getGlobal(ip->imm);
-                env.memAccess(env.heap.globalAddr(ip->imm), false);
-                JIT_NEXT();
-              JIT_CASE(StoreGlobal)
-                env.heap.setGlobal(ip->imm, R[ip->a]);
-                env.memAccess(env.heap.globalAddr(ip->imm), true);
-                JIT_NEXT();
-
-              // ---- Generic runtime fallbacks -----------------------
-              JIT_CASE(GenericBinary)
-                env.acct.chargeRuntime(CostModel::kRuntimeGenericOp);
-                R[ip->dst] = env.runtime.applyBinary(
-                    static_cast<BinaryOp>(ip->imm), R[ip->a],
-                    R[ip->b]);
-                JIT_NEXT();
-              JIT_CASE(GenericUnary)
-                env.acct.chargeRuntime(CostModel::kRuntimeGenericOp);
-                R[ip->dst] = env.runtime.applyUnary(
-                    static_cast<UnaryOp>(ip->imm), R[ip->a]);
-                JIT_NEXT();
-              JIT_CASE(GenericGetProp) {
-                env.acct.chargeRuntime(CostModel::kRuntimePropAccess);
-                Addr addr = 0;
-                R[ip->dst] = env.runtime.getPropertyGeneric(
-                    R[ip->a], ip->imm, &addr);
-                env.memAccess(addr, false);
-                JIT_NEXT();
-              }
-              JIT_CASE(GenericSetProp) {
-                env.acct.chargeRuntime(CostModel::kRuntimePropAccess);
-                Addr addr = 0;
-                env.runtime.setPropertyGeneric(R[ip->a], ip->imm,
-                                               R[ip->b], &addr);
-                env.memAccess(addr, true);
-                JIT_NEXT();
-              }
-              JIT_CASE(GenericGetIndex) {
-                env.acct.chargeRuntime(CostModel::kRuntimeIndexAccess);
-                Addr addr = 0;
-                R[ip->dst] = env.runtime.getIndexGeneric(
-                    R[ip->a], R[ip->b], &addr);
-                env.memAccess(addr, false);
-                JIT_NEXT();
-              }
-              JIT_CASE(GenericSetIndex) {
-                env.acct.chargeRuntime(CostModel::kRuntimeIndexAccess);
-                Addr addr = 0;
-                env.runtime.setIndexGeneric(R[ip->a], R[ip->b],
-                                            R[ip->c], &addr);
-                env.memAccess(addr, true);
-                JIT_NEXT();
-              }
-              JIT_CASE(NewArray) {
-                env.acct.chargeRuntime(CostModel::kRuntimeAllocation);
-                Value arr = env.heap.allocArray(ip->imm);
-                for (uint32_t i = 0; i < ip->imm; ++i) {
-                    env.heap.setElementFast(arr.payload(), i,
-                                            R[ip->a + i]);
-                }
-                R[ip->dst] = arr;
-                JIT_NEXT();
-              }
-              JIT_CASE(NewObject) {
-                env.acct.chargeRuntime(CostModel::kRuntimeAllocation);
-                Value obj = env.heap.allocObject();
-                // The descriptor lives in the bytecode function.
-                const ObjectDesc &desc = fn.objectDescs[ip->imm];
-                for (uint32_t i = 0; i < ip->b; ++i) {
-                    env.heap.setProperty(obj.payload(),
-                                         desc.nameIds[i],
-                                         R[ip->a + i]);
-                }
-                R[ip->dst] = obj;
-                JIT_NEXT();
-              }
-
-              // ---- Calls -------------------------------------------
-              JIT_CASE(Call)
-                R[ip->dst] =
-                    env.dispatcher.call(ip->imm, R + ip->a, ip->b);
-                JIT_NEXT();
-              JIT_CASE(CallNative) {
-                auto bid = static_cast<BuiltinId>(ip->imm);
-                if (bid == BuiltinId::Print)
-                    env.irrevocableEvent();
-                env.acct.chargeRuntime(CostModel::kRuntimeNativeCall);
-                R[ip->dst] = env.builtins.call(bid, R + ip->a, ip->b);
-                JIT_NEXT();
-              }
-              JIT_CASE(Intrinsic)
-                R[ip->dst] = env.builtins.call(
-                    static_cast<BuiltinId>(ip->imm), R + ip->a, ip->b);
-                JIT_NEXT();
-              JIT_CASE(CallMethod) {
-                env.acct.chargeRuntime(CostModel::kRuntimeMethodCall);
-                uint32_t name_id = ip->imm / 16;
-                uint32_t margs = ip->imm % 16;
-                R[ip->dst] = env.builtins.callMethod(
-                    R[ip->a], name_id, R + ip->b, margs);
-                JIT_NEXT();
-              }
-
-              // ---- Control flow ------------------------------------
-              JIT_CASE(Jump)
-                ip = base + ip->imm;
-                goto jit_seg_entry;
-              JIT_CASE(Branch) {
-                bool taken = env.runtime.toBoolean(R[ip->a]);
-                ip = base + (taken ? ip->imm : ip->imm2);
-                goto jit_seg_entry;
-              }
-              JIT_CASE(Return)
-                NOMAP_ASSERT(!tx_owner);
-                return R[ip->a];
-              JIT_CASE(ReturnUndef)
-                NOMAP_ASSERT(!tx_owner);
-                return Value::undefined();
-
-              // ---- Transactions (aware chains only) ----------------
-              JIT_CASE(TxBegin) {
-                if constexpr (!kAware) {
-                    panic("jit: tx template in non-aware chain");
-                } else {
-                    bool outermost = !env.htm.inTransaction();
-                    if (outermost)
-                        env.htm.setTraceContext(ir.funcId, ip->smpPc);
-                    env.acct.chargeCycles(env.htm.begin());
-                    sync_tx_flag();
-                    if (outermost) {
-                        tx_owner = true;
-                        tx_snapshot.assign(R, R + ir.bytecodeRegs);
-                        tx_entry_pc = ip->smpPc;
-                        tx_instr = 0;
-                        tile_count = 0;
-                        AbortCode injected =
-                            env.htm.takePendingInjectedAbort();
-                        if (injected != AbortCode::None) {
-                            if constexpr (kBatched)
-                                refundAfterCurrent();
-                            env.acct.chargeCycles(
-                                env.htm.abort(injected));
-                            return resume_baseline();
-                        }
-                    }
-                    JIT_NEXT_NEWSEG();
-                }
-              }
-              JIT_CASE(TxEnd) {
-                if constexpr (!kAware) {
-                    panic("jit: tx template in non-aware chain");
-                } else {
-                    CommitResult r = env.htm.end();
-                    env.acct.chargeCycles(r.cycles);
-                    if (r.committed) {
-                        if (!env.htm.inTransaction()) {
-                            env.mem.commitSpeculative();
-                            tx_owner = false;
-                        }
-                        sync_tx_flag();
-                        JIT_NEXT_NEWSEG();
-                    }
-                    // SOF abort at commit (paper Figure 7).
-                    if (!tx_owner) {
-                        sync_tx_flag();
-                        throw TxAbortUnwind{r.abortCode};
-                    }
-                    if constexpr (kBatched)
-                        refundAfterCurrent();
-                    return resume_baseline();
-                }
-              }
-              JIT_CASE(TxTile) {
-                if constexpr (!kAware) {
-                    panic("jit: tx template in non-aware chain");
-                } else {
-                    if (!tx_owner)
-                        JIT_NEXT_NEWSEG(); // Nested: tiling disabled.
-                    ++tile_count;
-                    if (tile_count % ip->imm != 0)
-                        JIT_NEXT_NEWSEG();
-                    CommitResult r = env.htm.end();
-                    env.acct.chargeCycles(r.cycles);
-                    if (!r.committed) {
-                        if constexpr (kBatched)
-                            refundAfterCurrent();
-                        return resume_baseline();
-                    }
-                    env.mem.commitSpeculative();
-                    env.htm.setTraceContext(ir.funcId, ip->smpPc);
-                    env.acct.chargeCycles(env.htm.begin());
-                    tx_snapshot.assign(R, R + ir.bytecodeRegs);
-                    tx_entry_pc = ip->smpPc;
-                    tx_instr = 0;
-                    {
-                        AbortCode injected =
-                            env.htm.takePendingInjectedAbort();
-                        if (injected != AbortCode::None) {
-                            if constexpr (kBatched)
-                                refundAfterCurrent();
-                            env.acct.chargeCycles(
-                                env.htm.abort(injected));
-                            return resume_baseline();
-                        }
-                    }
-                    JIT_NEXT_NEWSEG();
-                }
-              }
-
-              // ---- Fused superinstruction templates ----------------
-              // Bound only in non-aware chains (buildJitChain): the
-              // second component's per-op charge happens inside the
-              // template, so the observable accounting sequence is
-              // identical to FTL executing the two records back to
-              // back.
-              JIT_CASE(CmpBranchLt)
-                JIT_CMP_BRANCH(x < y);
-              JIT_CASE(CmpBranchLe)
-                JIT_CMP_BRANCH(x <= y);
-              JIT_CASE(CmpBranchGt)
-                JIT_CMP_BRANCH(x > y);
-              JIT_CASE(CmpBranchGe)
-                JIT_CMP_BRANCH(x >= y);
-              JIT_CASE(CmpBranchEq)
-                JIT_CMP_BRANCH(x == y);
-              JIT_CASE(CmpBranchNe)
-                JIT_CMP_BRANCH(x != y);
-              JIT_CASE(AddIntChkOvf)
-                JIT_ARITH_CHK_OVF(static_cast<int64_t>(va.asInt32()) +
-                                  vb.asInt32());
-              JIT_CASE(SubIntChkOvf)
-                JIT_ARITH_CHK_OVF(static_cast<int64_t>(va.asInt32()) -
-                                  vb.asInt32());
-              JIT_CASE(MulIntChkOvf)
-                JIT_ARITH_CHK_OVF(static_cast<int64_t>(va.asInt32()) *
-                                  vb.asInt32());
-            }
-        }
-#if !defined(NOMAP_COMPUTED_GOTO)
-        panic("jit: bad template spec");
-#endif
+        // ---- Fused superinstruction templates --------------------------
+        // Bound only in non-aware chains (buildJitChain): the second
+        // component's per-op charge happens inside the template, so
+        // the observable accounting sequence is identical to FTL
+        // executing the two records back to back.
+        JIT_CMP_BRANCH(Lt, x < y)
+        JIT_CMP_BRANCH(Le, x <= y)
+        JIT_CMP_BRANCH(Gt, x > y)
+        JIT_CMP_BRANCH(Ge, x >= y)
+        JIT_CMP_BRANCH(Eq, x == y)
+        JIT_CMP_BRANCH(Ne, x != y)
+        JIT_ARITH_CHK_OVF(AddInt,
+                          static_cast<int64_t>(va.asInt32()) + vb.asInt32())
+        JIT_ARITH_CHK_OVF(SubInt,
+                          static_cast<int64_t>(va.asInt32()) - vb.asInt32())
+        JIT_ARITH_CHK_OVF(MulInt,
+                          static_cast<int64_t>(va.asInt32()) * vb.asInt32())
     } catch (TxAbortUnwind &) {
         if constexpr (kBatched) {
             // The charged segment's ops after the faulting one never
@@ -1068,18 +360,5 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
         return resume_baseline();
     }
 }
-
-#undef JIT_CASE
-#undef JIT_NEXT
-#undef JIT_NEXT_NEWSEG
-#undef JIT_PEROP
-#undef JIT_FUSED_ADVANCE
-#undef JIT_CHECK_TAIL
-#undef JIT_INT_ARITH
-#undef JIT_DOUBLE_ARITH
-#undef JIT_BITWISE
-#undef JIT_CMP
-#undef JIT_CMP_BRANCH
-#undef JIT_ARITH_CHK_OVF
 
 } // namespace nomap

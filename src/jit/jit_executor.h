@@ -15,22 +15,16 @@
  * the region's actual control flow (the vmgen/gforth replication
  * trick, applied to bound per-record continuations).
  *
- * Everything observable is shared with the FTL executor
- * (ftl/ir_executor.cc), whose runImpl this loop mirrors body for
- * body: the same ExecEnv, the same Accounting calls in the same
- * order (segment charges, per-op charges, runtime/check charges,
- * cancellation polls), the same fault-injection sites firing in the
- * same occurrence order, the same trace events, the same
- * deopt/OSR-into-Baseline and transactional abort/unwind paths. The
- * compiled tier is bit-identical to FTL in results, ExecutionStats,
- * and trace streams — enforced by tests/test_jit.cc — so it is a
- * pure host-speed tier, exactly like quickening and batching before
- * it.
- *
- * Without NOMAP_COMPUTED_GOTO the templates compile as a portable
- * switch over JitSpec and the per-record `fn` bindings go unused;
- * specialization (split bodies, fused superinstructions) still
- * applies.
+ * The op bodies are shared with the FTL executor: both loops expand
+ * ftl/op_bodies.inc, so an op's Accounting calls, fault-injection
+ * sites, trace events, deopt/OSR-into-Baseline and transactional
+ * abort/unwind paths are one piece of code. This loop owns only its
+ * dispatch (label capture and binding), the per-op preamble, and the
+ * fused superinstruction templates, which are composed from the same
+ * file's helpers. tests/test_jit.cc pins that part: the compiled tier
+ * is bit-identical to FTL in results, ExecutionStats, and trace
+ * streams, so it is a pure host-speed tier, exactly like quickening
+ * and batching before it.
  */
 
 #include <array>

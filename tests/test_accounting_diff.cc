@@ -20,11 +20,13 @@ namespace nomap {
 namespace {
 
 ExecutionStats
-runStats(const std::string &source, Architecture arch, bool per_op)
+runStats(const std::string &source, Architecture arch, bool per_op,
+         bool jit)
 {
     EngineConfig config;
     config.arch = arch;
     config.perOpAccounting = per_op;
+    config.jitTier = jit;
     Engine engine(config);
     return engine.run(source).stats;
 }
@@ -67,12 +69,14 @@ expectBitIdentical(const ExecutionStats &batched,
 }
 
 void
-compareSuite(const std::vector<BenchmarkSpec> &suite, Architecture arch)
+compareSuite(const std::vector<BenchmarkSpec> &suite, Architecture arch,
+             bool jit)
 {
     for (const BenchmarkSpec &spec : suite) {
-        SCOPED_TRACE(spec.id + " on " + architectureName(arch));
-        expectBitIdentical(runStats(spec.source, arch, false),
-                           runStats(spec.source, arch, true));
+        SCOPED_TRACE(spec.id + " on " + architectureName(arch) +
+                     (jit ? " (jit tier)" : ""));
+        expectBitIdentical(runStats(spec.source, arch, false, jit),
+                           runStats(spec.source, arch, true, jit));
     }
 }
 
@@ -82,12 +86,25 @@ class AccountingDiff : public ::testing::TestWithParam<Architecture>
 
 TEST_P(AccountingDiff, SunSpiderStatsMatchPerOpReference)
 {
-    compareSuite(sunspiderSuite(), GetParam());
+    compareSuite(sunspiderSuite(), GetParam(), false);
 }
 
 TEST_P(AccountingDiff, KrakenStatsMatchPerOpReference)
 {
-    compareSuite(krakenSuite(), GetParam());
+    compareSuite(krakenSuite(), GetParam(), false);
+}
+
+// The same differential through the region template tier: its
+// per-op-accounting loop variants, including the per-component
+// charges inside fused superinstruction templates, run nowhere else.
+TEST_P(AccountingDiff, SunSpiderJitStatsMatchPerOpReference)
+{
+    compareSuite(sunspiderSuite(), GetParam(), true);
+}
+
+TEST_P(AccountingDiff, KrakenJitStatsMatchPerOpReference)
+{
+    compareSuite(krakenSuite(), GetParam(), true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -190,7 +207,8 @@ TEST(AccountingChargePlan, FlatJumpTargetsBeginSegments)
 // of that handoff were off by even one unit, batched and per-op
 // accounting would disagree. Force deopts at such mid-block entry
 // points with occurrence-counted check faults and require bit
-// identity, on every architecture.
+// identity, on every architecture and through both the FTL and the
+// template tier.
 TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
 {
     const Architecture archs[] = {
@@ -199,31 +217,39 @@ TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
         Architecture::NoMapBC, Architecture::NoMapRTM};
     const char *plans[] = {"check.any@3", "check.bounds@5"};
     uint64_t total_deopts = 0;
+    uint64_t jit_deopts = 0;
     for (const char *text : plans) {
         FaultPlan plan = FaultPlan::parse(text);
         for (Architecture arch : archs) {
             for (const BenchmarkSpec &spec :
                  {sunspiderSuite()[0], sunspiderSuite()[1]}) {
-                SCOPED_TRACE(spec.id + " on " +
-                             architectureName(arch) + " under " +
-                             text);
-                ExecutionStats stats[2];
-                for (int per_op = 0; per_op < 2; ++per_op) {
-                    EngineConfig config;
-                    config.arch = arch;
-                    config.perOpAccounting = per_op != 0;
-                    Engine engine(config);
-                    engine.armFaultPlan(&plan);
-                    stats[per_op] = engine.run(spec.source).stats;
+                for (bool jit : {false, true}) {
+                    SCOPED_TRACE(spec.id + " on " +
+                                 architectureName(arch) + " under " +
+                                 text + (jit ? " (jit tier)" : ""));
+                    ExecutionStats stats[2];
+                    for (int per_op = 0; per_op < 2; ++per_op) {
+                        EngineConfig config;
+                        config.arch = arch;
+                        config.perOpAccounting = per_op != 0;
+                        config.jitTier = jit;
+                        Engine engine(config);
+                        engine.armFaultPlan(&plan);
+                        stats[per_op] = engine.run(spec.source).stats;
+                    }
+                    expectBitIdentical(stats[0], stats[1]);
+                    total_deopts += stats[0].deopts;
+                    if (jit)
+                        jit_deopts += stats[0].deopts;
                 }
-                expectBitIdentical(stats[0], stats[1]);
-                total_deopts += stats[0].deopts;
             }
         }
     }
     // Vacuity guard: the plans really did force OSR exits somewhere
-    // in the sweep (unconverted checks deopt to their SMP).
+    // in the sweep (unconverted checks deopt to their SMP), also with
+    // the template tier on.
     EXPECT_GT(total_deopts, 0u);
+    EXPECT_GT(jit_deopts, 0u);
 }
 
 // Plan revisions land at FTL-call boundaries, where batched

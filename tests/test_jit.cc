@@ -266,10 +266,67 @@ result = out;
     }
 }
 
+/** Printable op spec name (the same text as the IR op it executes). */
+std::string
+opSpecName(OpSpec spec)
+{
+    static const char *const kNames[] = {
+#define NOMAP_TEST_SPEC_NAME(name) #name,
+        NOMAP_OP_SPEC_LIST(NOMAP_TEST_SPEC_NAME)
+#undef NOMAP_TEST_SPEC_NAME
+    };
+    return kNames[static_cast<size_t>(spec)];
+}
+
+/**
+ * The unfused spec of one flat record, derived independently of the
+ * mapping computeChargePlan applies: the op's own name, or for a
+ * compare the subop's.
+ */
+std::string
+expectedSpecName(const ExecInstr &e)
+{
+    if (e.op != IrOp::CmpInt && e.op != IrOp::CmpDouble)
+        return irOpName(e.op);
+    switch (static_cast<BinaryOp>(e.imm)) {
+      case BinaryOp::Lt: return "CmpLt";
+      case BinaryOp::Le: return "CmpLe";
+      case BinaryOp::Gt: return "CmpGt";
+      case BinaryOp::Ge: return "CmpGe";
+      case BinaryOp::Eq:
+      case BinaryOp::StrictEq: return "CmpEq";
+      case BinaryOp::NotEq:
+      case BinaryOp::StrictNotEq: return "CmpNe";
+      default: return "CmpOther";
+    }
+}
+
+/** The fused template a record of @p spec may be bound to, if any. */
+JitSpec
+fusedFormOf(OpSpec spec)
+{
+    switch (spec) {
+      case OpSpec::CmpLt: return JitSpec::CmpBranchLt;
+      case OpSpec::CmpLe: return JitSpec::CmpBranchLe;
+      case OpSpec::CmpGt: return JitSpec::CmpBranchGt;
+      case OpSpec::CmpGe: return JitSpec::CmpBranchGe;
+      case OpSpec::CmpEq: return JitSpec::CmpBranchEq;
+      case OpSpec::CmpNe: return JitSpec::CmpBranchNe;
+      case OpSpec::AddInt: return JitSpec::AddIntChkOvf;
+      case OpSpec::SubInt: return JitSpec::SubIntChkOvf;
+      case OpSpec::MulInt: return JitSpec::MulIntChkOvf;
+      default: return static_cast<JitSpec>(spec);
+    }
+}
+
 // The differential above is only meaningful if the binder actually
 // specializes and fuses: a hot non-transactional (Base) program must
 // produce a chain that is index-aligned with the flat stream and
-// contains fused superinstruction templates.
+// contains fused superinstruction templates. It also pins the
+// one-source contract both loops rely on: every flat record of every
+// DFG- and FTL-compiled function carries the unfused spec of its op
+// (the body both loops dispatch to), and every chain record carries
+// that spec or its fused form.
 TEST(JitStructure, HotProgramBuildsFusedChain)
 {
     EngineConfig config;
@@ -297,6 +354,10 @@ TEST(JitStructure, HotProgramBuildsFusedChain)
             EXPECT_EQ(r.op, ir->flat[i].op);
             EXPECT_EQ(r.ownScaled, ir->flat[i].ownScaled);
             EXPECT_EQ(r.chargeFrom, ir->flat[i].chargeFrom);
+            OpSpec flat_spec = ir->flat[i].spec;
+            EXPECT_TRUE(r.spec == static_cast<JitSpec>(flat_spec) ||
+                        r.spec == fusedFormOf(flat_spec))
+                << fnp->name << " record " << i;
             switch (r.spec) {
               case JitSpec::CmpBranchLt:
               case JitSpec::CmpBranchLe:
@@ -318,6 +379,32 @@ TEST(JitStructure, HotProgramBuildsFusedChain)
     }
     EXPECT_TRUE(any_chain);
     EXPECT_TRUE(any_fused);
+
+    size_t dfg_records = 0;
+    size_t ftl_records = 0;
+    for (const auto &fnp : prog->functions) {
+        const FunctionState *state =
+            engine.functionState(fnp->name);
+        if (!state)
+            continue;
+        for (const CompiledIr *compiled :
+             {state->dfg.get(), state->ftl.get()}) {
+            if (!compiled)
+                continue;
+            for (size_t i = 0; i < compiled->ir.flat.size(); ++i) {
+                const ExecInstr &e = compiled->ir.flat[i];
+                EXPECT_EQ(opSpecName(e.spec), expectedSpecName(e))
+                    << fnp->name << " " << tierName(compiled->ir.tier)
+                    << " record " << i;
+            }
+            if (compiled->ir.tier == Tier::Dfg)
+                dfg_records += compiled->ir.flat.size();
+            else
+                ftl_records += compiled->ir.flat.size();
+        }
+    }
+    EXPECT_GT(dfg_records, 0u);
+    EXPECT_GT(ftl_records, 0u);
 }
 
 // Transactional regions must run the tx-aware template variant and
