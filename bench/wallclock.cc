@@ -19,9 +19,10 @@
  *
  * Writes BENCH_wallclock.json (schema_version 4) into the working
  * directory, one row per (suite, arch, tier) with tier one of
- * "interp" (pure interpreter), "ftl" (the direct-threaded FTL
- * executor), or "jit" (the region template-compilation tier,
- * EngineConfig::jitTier). The ftl and jit rows are measured
+ * "interp" (pure interpreter), "ftl" (DFG/FTL code as unfused
+ * chains, the reference), or "jit" (the same chains with
+ * superinstruction fusion, EngineConfig::jitTier). The ftl and jit
+ * rows are measured
  * *interleaved*: their repetitions alternate pass for pass inside the
  * same load epoch, so the ftl/jit ratio printed under "Interleaved
  * tier speedups" is robust against shared-host load drift — that
@@ -128,8 +129,9 @@ hostCalibrationNsPerIter()
 
 /**
  * One measured execution tier. "interp" caps the engine at the
- * interpreter; "ftl" is the direct-threaded reference executor;
- * "jit" runs FTL-hot functions through the region template tier.
+ * interpreter; "ftl" runs DFG/FTL code as unfused chains (the
+ * reference); "jit" runs the same chains with superinstruction
+ * fusion.
  */
 struct TierSpec {
     const char *name;

@@ -9,7 +9,7 @@
  *          [--tier interp|baseline|dfg|ftl] [--jit]
  *          (<file.js> | --bench S01..S26|K01..K14)
  *
- * --jit executes FTL-hot functions through the region template tier
+ * --jit fuses superinstructions in the DFG/FTL chains
  * (EngineConfig::jitTier) — host speed only; the printed result and
  * every statistic must be identical with and without it.
  */
@@ -80,8 +80,8 @@ usage()
                  "  arch: base nomap_s nomap_b nomap nomap_bc "
                  "nomap_rtm (default base)\n"
                  "  tier: interp baseline dfg ftl (default ftl)\n"
-                 "  --jit: region template tier for FTL-hot "
-                 "functions (same stats, faster host)\n"
+                 "  --jit: fuse superinstructions in DFG/FTL "
+                 "chains (same stats, faster host)\n"
                  "  bench ids: S01..S26, K01..K14\n");
     return 2;
 }
@@ -137,7 +137,7 @@ main(int argc, char **argv)
         std::printf("%s under %s (max tier %s%s)\n", label.c_str(),
                     architectureName(config.arch),
                     tierName(config.maxTier),
-                    config.jitTier ? ", jit templates" : "");
+                    config.jitTier ? ", fused chains" : "");
         if (!r.printed.empty())
             std::printf("--- program output ---\n%s----------------"
                         "------\n", r.printed.c_str());

@@ -106,13 +106,13 @@ struct EngineConfig {
     bool quickening = true;
 
     /**
-     * Region template-compilation tier (src/jit/): execute
-     * FTL-compiled functions as chains of build-time-compiled
-     * continuation templates bound per flat-IR record instead of the
-     * direct-threaded FTL executor loop. Host-side acceleration only:
-     * results, ExecutionStats, and traces are bit-identical with the
-     * tier on or off (enforced by the jit differential test). Off is
-     * the reference mode.
+     * Superinstruction fusion in the DFG/FTL chains (src/jit/): when
+     * set, buildJitChain fuses adjacent compare+branch and
+     * int-arith+overflow-check records into one template. Host-side
+     * acceleration only: results, ExecutionStats, and traces are
+     * bit-identical with fusion on or off (enforced by the jit
+     * differential test). Off, the unfused chain, is the reference
+     * mode.
      */
     bool jitTier = false;
 

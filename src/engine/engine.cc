@@ -77,9 +77,6 @@ Engine::initVm()
     baselineExec =
         std::make_unique<BytecodeExecutor>(*envPtr, Tier::Baseline);
     irExec =
-        std::make_unique<IrExecutor>(*envPtr, *baselineExec,
-                                     engineConfig);
-    jitExec =
         std::make_unique<JitExecutor>(*envPtr, *baselineExec,
                                       engineConfig);
     envPtr->perOpAccounting = engineConfig.perOpAccounting;
@@ -154,7 +151,6 @@ Engine::reset()
     // rebuild pristine.
     programPtr.reset();
     functionStates.clear();
-    jitExec.reset();
     irExec.reset();
     baselineExec.reset();
     interpreter.reset();
@@ -285,16 +281,11 @@ Engine::maybeTierUp(uint32_t func_id)
         ++stats.baselineCompiles;
         break;
       case Tier::Dfg:
-        state.dfg = std::make_unique<CompiledIr>(
-            compileFunction(fn, *heapPtr, Tier::Dfg, engineConfig.arch,
-                            0, tracePtr.get(), acctPtr.get()));
+        state.dfg = compileCode(fn, Tier::Dfg, state);
         ++stats.dfgCompiles;
         break;
       case Tier::Ftl:
-        state.ftl = std::make_unique<CompiledIr>(
-            compileFunction(fn, *heapPtr, Tier::Ftl, engineConfig.arch,
-                            state.txScopeLevel, tracePtr.get(),
-                            acctPtr.get(), planOverridesFor(state)));
+        state.ftl = compileCode(fn, Tier::Ftl, state);
         ++stats.ftlCompiles;
         break;
       default:
@@ -328,6 +319,21 @@ Engine::planOverridesFor(const FunctionState &state) const
     return ov;
 }
 
+std::unique_ptr<CompiledIr>
+Engine::compileCode(const BytecodeFunction &fn, Tier tier,
+                    const FunctionState &state)
+{
+    // The DFG compiles at the default scope with static planning; only
+    // FTL code carries the function's escalation and adaptive state.
+    bool ftl = tier == Tier::Ftl;
+    auto code = std::make_unique<CompiledIr>(compileFunction(
+        fn, *heapPtr, tier, engineConfig.arch,
+        ftl ? state.txScopeLevel : 0, tracePtr.get(), acctPtr.get(),
+        ftl ? planOverridesFor(state) : PlanOverrides()));
+    code->chain = buildJitChain(code->ir, engineConfig.jitTier);
+    return code;
+}
+
 void
 Engine::recompileFtl(uint32_t func_id, FunctionState &state)
 {
@@ -336,13 +342,8 @@ Engine::recompileFtl(uint32_t func_id, FunctionState &state)
     // (the revised plan state stays and rides the next recompile).
     if (injector && injector->fire(FaultSite::EngineCompileFail))
         return;
-    BytecodeFunction &fn = *programPtr->functions[func_id];
-    state.ftl = std::make_unique<CompiledIr>(compileFunction(
-        fn, *heapPtr, Tier::Ftl, engineConfig.arch, state.txScopeLevel,
-        tracePtr.get(), acctPtr.get(), planOverridesFor(state)));
-    // The region chain's literal pool (charge-plan fields, branch
-    // targets) was compiled from the IR just replaced.
-    state.jit.reset();
+    state.ftl = compileCode(*programPtr->functions[func_id], Tier::Ftl,
+                            state);
     ++stats.ftlRecompiles;
 }
 
@@ -403,7 +404,8 @@ Engine::call(uint32_t func_id, const Value *args, uint32_t nargs)
       case Tier::Baseline:
         return baselineExec->run(fn, args, nargs);
       case Tier::Dfg:
-        return irExec->run(state.dfg->ir, fn, args, nargs);
+        return irExec->run(*state.dfg->chain, state.dfg->ir, fn, args,
+                           nargs);
       case Tier::Ftl: {
         ++stats.ftlFunctionCalls;
         uint64_t cap_before = htmPtr->stats().abortsByCode[
@@ -417,17 +419,8 @@ Engine::call(uint32_t func_id, const Value *args, uint32_t nargs)
         ++state.activeRuns;
         Value v;
         try {
-            if (engineConfig.jitTier) {
-                // Region template tier: compile the chain lazily on
-                // the first FTL-tier call (recompileFtl invalidates
-                // it, so the literals always track the live IR).
-                if (!state.jit)
-                    state.jit = buildJitChain(state.ftl->ir);
-                v = jitExec->run(*state.jit, state.ftl->ir, fn, args,
-                                 nargs);
-            } else {
-                v = irExec->run(state.ftl->ir, fn, args, nargs);
-            }
+            v = irExec->run(*state.ftl->chain, state.ftl->ir, fn, args,
+                            nargs);
         } catch (...) {
             --state.activeRuns;
             throw;

@@ -29,7 +29,6 @@
 #include "engine/config.h"
 #include "engine/stats.h"
 #include "ftl/compile.h"
-#include "ftl/ir_executor.h"
 #include "inject/fault_plan.h"
 #include "interp/bytecode_executor.h"
 #include "jit/jit_executor.h"
@@ -58,13 +57,6 @@ struct FunctionState {
     Tier tier = Tier::Interpreter;
     std::unique_ptr<CompiledIr> dfg;
     std::unique_ptr<CompiledIr> ftl;
-    /**
-     * Region template chain compiled from `ftl->ir`
-     * (EngineConfig::jitTier). Built lazily on the first FTL-tier
-     * call; reset whenever `ftl` is recompiled so the chain's
-     * charge-plan literals always track the live IR.
-     */
-    std::unique_ptr<JitChain> jit;
     /** NoMap recompilation escalation (0 nest, 1 inner, 2 tile, 3 off). */
     uint32_t txScopeLevel = 0;
     uint32_t consecutiveCapacityAborts = 0;
@@ -246,6 +238,9 @@ class Engine : public CallDispatcher
     void maybeTierUp(uint32_t func_id);
     uint64_t hotness(const BytecodeFunction &fn) const;
     PlanOverrides planOverridesFor(const FunctionState &state) const;
+    std::unique_ptr<CompiledIr> compileCode(const BytecodeFunction &fn,
+                                            Tier tier,
+                                            const FunctionState &state);
     void recompileFtl(uint32_t func_id, FunctionState &state);
     void applyAdaptiveRevision(uint32_t func_id,
                                FunctionState &state);
@@ -285,8 +280,7 @@ class Engine : public CallDispatcher
     std::unique_ptr<ExecEnv> envPtr;
     std::unique_ptr<BytecodeExecutor> interpreter;
     std::unique_ptr<BytecodeExecutor> baselineExec;
-    std::unique_ptr<IrExecutor> irExec;
-    std::unique_ptr<JitExecutor> jitExec;
+    std::unique_ptr<JitExecutor> irExec;
 
     std::unique_ptr<CompiledProgram> programPtr;
     std::vector<FunctionState> functionStates;

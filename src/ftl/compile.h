@@ -8,8 +8,11 @@
  * optimization pipeline appropriate to the tier and architecture.
  */
 
+#include <memory>
+
 #include "engine/config.h"
 #include "ir/builder.h"
+#include "jit/jit_chain.h"
 #include "nomap/planner.h"
 #include "passes/passes.h"
 
@@ -20,6 +23,12 @@ struct CompiledIr {
     IrFunction ir;
     PassStats passStats;
     PlanResult planResult;
+    /**
+     * The chain that executes `ir`. compileFunction leaves it null;
+     * the engine builds it when it installs the code, so a chain is
+     * freed exactly when its IR is.
+     */
+    std::unique_ptr<JitChain> chain;
 };
 
 /**

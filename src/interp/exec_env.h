@@ -9,8 +9,8 @@
  * (HTM manager, cache hierarchy), the accounting context, and the
  * call dispatcher that routes calls to the tier chosen by the engine's
  * tiering policy. Every executor shares one ExecEnv per engine —
- * interpreter/Baseline, the FTL IrExecutor, and the region template
- * tier (src/jit/JitExecutor) — which is what makes their guest
+ * interpreter/Baseline and the DFG/FTL chain executor
+ * (src/jit/JitExecutor) — which is what makes their guest
  * observables comparable bit for bit in the differential tests.
  */
 

@@ -129,16 +129,16 @@ enum class IrOp : uint8_t {
 #undef NOMAP_IR_OP_ENUM
 };
 
-/** Number of IR operations (dispatch-table size). */
+/** Number of IR operations (name-table size). */
 constexpr size_t kNumIrOps = static_cast<size_t>(IrOp::TxTile) + 1;
 
 /**
  * X-macro list of executor op specs: the IR ops with each compare
  * split per BinaryOp subop, so no op body tests its subop at run
- * time. Each spec has exactly one body, in ftl/op_bodies.inc;
- * computeChargePlan stamps every ExecInstr with its spec, and both
- * executor loops dispatch on it. CmpOther keeps the "bad
- * compare subop" panic for out-of-range immediates.
+ * time. Each spec has exactly one body, in jit/op_bodies.inc;
+ * computeChargePlan stamps every ExecInstr with its spec, and
+ * buildJitChain binds each record to that spec's body. CmpOther
+ * keeps the "bad compare subop" panic for out-of-range immediates.
  */
 #define NOMAP_OP_SPEC_LIST(V)                                           \
     NOMAP_IR_OPS_HEAD(V)                                                \
@@ -204,13 +204,13 @@ struct IrBlock {
 };
 
 /**
- * One predecoded instruction of the flat run format the executor
- * dispatches over (see IrFunction::flat). A copy of the IrInstr
- * fields plus the instruction's charge-plan entries, packed so the
- * hot loop touches exactly one 32-byte record per op with no
- * per-block indirection. Jump/Branch targets are rewritten from
- * block ids to flat indices at predecode time, and `spec` fills the
- * padding after the operands.
+ * One predecoded instruction of the flat run format (see
+ * IrFunction::flat), which buildJitChain copies record for record
+ * into the chain the executor runs. A copy of the IrInstr fields plus
+ * the instruction's charge-plan entries, packed into one 32-byte
+ * record per op with no per-block indirection. Jump/Branch targets
+ * are rewritten from block ids to flat indices at predecode time,
+ * and `spec` fills the padding after the operands.
  */
 struct ExecInstr {
     IrOp op = IrOp::Nop;
@@ -268,13 +268,12 @@ struct IrFunction {
      * Flat run format: every block's instructions predecoded into one
      * contiguous array in block order, with branch targets rewritten
      * to flat indices and the charge plan folded into each record.
-     * Built by computeChargePlan alongside the per-block plan; the
-     * executor walks this instead of the block structure, and the
-     * region template tier (src/jit/jit_chain.h) lowers it further
-     * into bound continuation-template chains. Both consumers rely on
-     * the plan's structural invariant that every Jump/Branch target
-     * begins a charge segment (audited by
-     * AccountingChargePlan.FlatJumpTargetsBeginSegments).
+     * Built by computeChargePlan alongside the per-block plan;
+     * buildJitChain (src/jit/jit_chain.h) lowers it into the bound
+     * continuation-template chain the executor runs instead of the
+     * block structure. The chain relies on the plan's structural
+     * invariant that every Jump/Branch target begins a charge segment
+     * (audited by AccountingChargePlan.FlatJumpTargetsBeginSegments).
      */
     std::vector<ExecInstr> flat;
     /** flatStart[b] = flat index of block b's first instruction. */
@@ -367,7 +366,7 @@ uint32_t irBaseCost(IrOp op);
  * performs the one-time structural validation (non-empty terminated
  * blocks, in-range branch targets) that lets the executor hot loop
  * dispatch without per-op bounds checks. The compiler calls this
- * after the pass pipeline; the executor calls it lazily for
+ * after the pass pipeline; buildJitChain calls it lazily for
  * hand-built functions in tests.
  */
 void computeChargePlan(IrFunction &fn);

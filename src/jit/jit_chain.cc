@@ -32,11 +32,10 @@ arithChkOvfSpecOf(OpSpec arith)
 } // namespace
 
 std::unique_ptr<JitChain>
-buildJitChain(IrFunction &ir)
+buildJitChain(IrFunction &ir, bool fuse)
 {
     // Hand-built IR in tests never goes through compileFunction;
-    // build its charge plan (and flat run stream) first, exactly as
-    // the FTL executor would on first run.
+    // build its charge plan (and flat run stream) first.
     if (!ir.chargePlanReady)
         computeChargePlan(ir);
 
@@ -85,7 +84,7 @@ buildJitChain(IrFunction &ir)
         // when the successor is a jump target (it must stay
         // independently enterable — it keeps its standalone template
         // either way; fused fallthrough simply never reaches it).
-        if (chain->aware || i + 1 >= n || isTarget[i + 1])
+        if (!fuse || chain->aware || i + 1 >= n || isTarget[i + 1])
             continue;
         const ExecInstr &next = flat[i + 1];
         bool cmp = e.spec >= OpSpec::CmpLt && e.spec <= OpSpec::CmpNe;

@@ -3,17 +3,18 @@
 
 /**
  * @file
- * The compiled-region representation of the template-JIT tier.
+ * The compiled-region representation every DFG and FTL function runs
+ * as.
  *
  * A JitChain is the "region code" the template compiler emits for one
- * FTL function: the flat predecoded ExecInstr stream (ir/ir.h)
- * re-packed into JitInstr records, each carrying
+ * DFG- or FTL-compiled function: the flat predecoded ExecInstr stream
+ * (ir/ir.h) re-packed into JitInstr records, each carrying
  *
  *  - a *template binding*: the address of the build-time-compiled
- *    handler specialized for this record's (opcode, operand-shape)
- *    pair (`fn`, a computed-goto label captured from the executor),
- *    so dispatch is one indirect jump through the record itself — no
- *    opcode table lookup, no operand-shape tests at run time; and
+ *    handler for this record's op spec (`fn`, a computed-goto label
+ *    captured from the executor), so dispatch is one indirect jump
+ *    through the record itself — no opcode table lookup, no
+ *    operand-shape tests at run time; and
  *  - the record's *literal pool entry*: the operand registers,
  *    immediates, SMP and charge-plan fields copied verbatim from the
  *    ExecInstr, so the handler reads its operands from the record it
@@ -22,19 +23,19 @@
  * Shape specialization is already done in the flat stream: each
  * ExecInstr carries its op spec (split per opcode, compares per
  * BinaryOp subop), and buildJitChain copies it. The chain's own
- * decision is fusion: in regions that contain no transaction-boundary
- * ops, adjacent records are fused into superinstruction templates
- * (compare+branch, int-arith+overflow-check) that execute both
- * records in one handler with the exact same observable
- * charge/check/injection sequence as the FTL executor running them
- * separately.
+ * decision is fusion (EngineConfig::jitTier): in regions that contain
+ * no transaction-boundary ops, adjacent records may be fused into
+ * superinstruction templates (compare+branch, int-arith+overflow-
+ * check) that execute both records in one handler with the exact same
+ * observable charge/check/injection sequence as running them
+ * separately. The unfused chain is the reference the fused one is
+ * tested against.
  *
  * Region boundaries are inherited wholesale from the flat stream:
  * records keep their flat indices (Jump/Branch targets remain valid),
  * charge segments keep their edges, and every deopt/OSR/abort exit
- * uses the same machinery as the FTL executor. The chain is a pure
- * host-side acceleration structure — nothing guest-visible lives
- * here.
+ * is the shared op-body machinery. The chain is a pure host-side
+ * acceleration structure — nothing guest-visible lives here.
  */
 
 #include <memory>
@@ -46,8 +47,8 @@ namespace nomap {
 
 /**
  * X-macro list of the fused superinstruction templates, the only
- * template bodies the jit loop writes itself (every unfused spec's
- * body is the shared one in ftl/op_bodies.inc). Bound only in
+ * template bodies the executor writes itself (every unfused spec's
+ * body is in jit/op_bodies.inc). Bound only in
  * non-tx-aware chains; the second record of a fused pair keeps its
  * standalone binding so jump targets may still land on it.
  */
@@ -113,20 +114,20 @@ struct JitInstr {
 constexpr unsigned kJitUnbound = ~0u;
 
 /**
- * One compiled region chain (per FTL-compiled function). Records are
- * index-aligned with IrFunction::flat, so flat branch targets carry
- * over unchanged and the chain's entry is the same segment edge the
- * FTL executor enters at. Invalidate (rebuild) whenever the function
- * is recompiled — records alias nothing, but charge-plan fields must
- * track the live IR.
+ * One compiled region chain (per DFG- or FTL-compiled function).
+ * Records are index-aligned with IrFunction::flat, so flat branch
+ * targets carry over unchanged and the chain's entry is the flat
+ * stream's first segment edge. A chain lives exactly as long as the
+ * IR it was built from (CompiledIr::chain) — records alias nothing,
+ * but charge-plan fields must track the live IR.
  */
 struct JitChain {
     std::vector<JitInstr> records;
     /**
      * True when the region contains transaction-boundary ops: the
-     * executor runs the tx-owner/watchdog-aware variant and the
-     * binder disables superinstruction fusion (a fused body would
-     * skip the per-op watchdog poll between its two components).
+     * executor runs the tx-owner/watchdog-aware variant and
+     * buildJitChain never fuses (a fused body would skip the per-op
+     * watchdog poll between its two components).
      */
     bool aware = false;
     /** Feature mask `fn` is currently bound for (kJitUnbound: none). */
@@ -135,12 +136,13 @@ struct JitChain {
 
 /**
  * Compile @p ir's flat stream into a region chain: copy each record
- * (spec included) into the literal pool and fuse superinstruction
- * pairs where legal. Computes the charge plan first if
- * the function never went through compileFunction (hand-built IR in
- * tests). The chain holds no pointers into @p ir.
+ * (spec included) into the literal pool and, when @p fuse is set,
+ * fuse superinstruction pairs where legal. Computes the charge plan
+ * first if the function never went through compileFunction
+ * (hand-built IR in tests). The chain holds no pointers into @p ir.
  */
-std::unique_ptr<JitChain> buildJitChain(IrFunction &ir);
+std::unique_ptr<JitChain> buildJitChain(IrFunction &ir,
+                                        bool fuse = true);
 
 } // namespace nomap
 

@@ -1,16 +1,15 @@
 #include "jit/jit_executor.h"
 
 #include <cmath>
+#include <mutex>
 
 #include "support/logging.h"
 
 /**
- * Template dispatch — the continuation-chain form of the FTL
- * executor's direct threading. The unfused op bodies are not written
- * here: this loop expands the same ftl/op_bodies.inc the FTL loop
- * does, and supplies only the dispatch around them plus the fused
- * superinstruction templates, which are composed from that file's
- * helpers.
+ * Template dispatch: continuation chains. The unfused op bodies are
+ * not written here: this loop expands jit/op_bodies.inc and supplies
+ * only the dispatch around them plus the fused superinstruction
+ * templates, which are composed from that file's helpers.
  *
  * Every body ends in OP_NEXT(): advance ip, run the per-op
  * accounting/watchdog preamble, then jump straight through the next
@@ -19,10 +18,17 @@
  * shared dispatch site, and the target comes out of the record itself
  * — no dispatch-table load, no opcode decode.
  *
+ * Records are index-aligned with the function's flat predecoded run
+ * stream (ExecInstr in ir/ir.h): block order, branch targets
+ * pre-resolved to flat indices, the batched charge plan folded into
+ * each record. Per-op bounds checks are unnecessary —
+ * computeChargePlan validates once that every block ends in a
+ * terminator and every branch target is in range, so `ip` can only
+ * move between valid records.
+ *
  * Control-flow templates (Jump/Branch/fused compare+branch) and
  * transaction boundaries re-enter at jit_seg_entry, which opens a new
- * batched charge segment exactly like the FTL executor's
- * vm_seg_entry.
+ * batched charge segment.
  */
 #define OP_NEXT()                                                       \
     do {                                                                \
@@ -41,12 +47,17 @@
 #define OP_ENTER_SEG() goto jit_seg_entry
 
 /**
- * Per-op preamble, identical to the FTL executor's vm_top: per-op
- * charge in the reference accounting mode, and — in tx-aware chains
- * only — the tx-owner instruction counter, watchdog, and
- * engine.watchdog injection poll. Non-aware chains compile to
- * nothing here (this frame can never own a transaction), which is
- * what makes their continuation chain branch-free between templates.
+ * Per-op preamble: per-op charge in the reference accounting mode,
+ * and — in tx-aware chains only — the tx-owner instruction counter
+ * and watchdog. A timer interrupt would abort a transaction that runs
+ * unreasonably long (e.g. spinning on garbage after speculative check
+ * removal); the engine.watchdog site polls here too, once per
+ * in-transaction instruction, so a FaultPlan can kill a transaction
+ * at any point of its lifetime. The watchdog counter advances per-op
+ * in both accounting modes so its firing point never moves.
+ * Non-aware chains compile to nothing here (this frame can never own
+ * a transaction), which is what makes their continuation chain
+ * branch-free between templates.
  */
 #define JIT_PEROP()                                                     \
     do {                                                                \
@@ -78,9 +89,9 @@
 /**
  * Advance into the second record of a fused superinstruction: the
  * per-op charge still happens per component (the charge-call sequence
- * — and its cancellation polls — must match FTL executing the two
- * records separately). No watchdog: fused templates are bound only in
- * non-aware chains.
+ * — and its cancellation polls — must match an unfused chain
+ * executing the two records separately). No watchdog: fused templates
+ * are bound only in non-aware chains.
  */
 #define JIT_FUSED_ADVANCE()                                             \
     do {                                                                \
@@ -126,100 +137,68 @@
 
 namespace nomap {
 
+// trace.cc renders Deopt check kinds from a mirrored name table; pin
+// the numeric layout so the two cannot drift apart.
+static_assert(static_cast<uint8_t>(CheckKind::Bounds) == 0 &&
+              static_cast<uint8_t>(CheckKind::Overflow) == 1 &&
+              static_cast<uint8_t>(CheckKind::Type) == 2 &&
+              static_cast<uint8_t>(CheckKind::Property) == 3 &&
+              static_cast<uint8_t>(CheckKind::Other) == 4);
+
 JitExecutor::JitExecutor(ExecEnv &env_, BytecodeExecutor &baseline_,
                          const EngineConfig &config_)
     : env(env_), baseline(baseline_), config(config_)
 {
 }
 
-template <unsigned kFeat, bool kAware>
+const JitExecutor::RunFn JitExecutor::kVariants[kNumVariants] = {
+    &runImpl<0, false>, &runImpl<1, false>, &runImpl<2, false>,
+    &runImpl<3, false>, &runImpl<4, false>, &runImpl<5, false>,
+    &runImpl<6, false>, &runImpl<7, false>, &runImpl<0, true>,
+    &runImpl<1, true>,  &runImpl<2, true>,  &runImpl<3, true>,
+    &runImpl<4, true>,  &runImpl<5, true>,  &runImpl<6, true>,
+    &runImpl<7, true>,
+};
+
 const JitExecutor::LabelTable &
-JitExecutor::labels()
+JitExecutor::labels(unsigned variant)
 {
     // Label addresses are plain code addresses of this translation
     // unit, identical across executor instances, so one process-wide
-    // capture per variant suffices (thread-safe magic static).
-    static const LabelTable table = [] {
-        LabelTable t{};
-        runImpl<kFeat, kAware>(nullptr, nullptr, nullptr, nullptr,
-                               nullptr, 0, t.data());
-        return t;
-    }();
-    return table;
-}
-
-void
-JitExecutor::bind(JitChain &chain, unsigned feat)
-{
-    const LabelTable *table = nullptr;
-    switch ((chain.aware ? 8u : 0u) | feat) {
-#define NOMAP_JIT_BIND_CASE(f, a)                                       \
-      case (((a) ? 8u : 0u) | (f)):                                     \
-        table = &labels<(f), (a)>();                                    \
-        break;
-        NOMAP_JIT_BIND_CASE(0u, false)
-        NOMAP_JIT_BIND_CASE(1u, false)
-        NOMAP_JIT_BIND_CASE(2u, false)
-        NOMAP_JIT_BIND_CASE(3u, false)
-        NOMAP_JIT_BIND_CASE(4u, false)
-        NOMAP_JIT_BIND_CASE(5u, false)
-        NOMAP_JIT_BIND_CASE(6u, false)
-        NOMAP_JIT_BIND_CASE(7u, false)
-        NOMAP_JIT_BIND_CASE(0u, true)
-        NOMAP_JIT_BIND_CASE(1u, true)
-        NOMAP_JIT_BIND_CASE(2u, true)
-        NOMAP_JIT_BIND_CASE(3u, true)
-        NOMAP_JIT_BIND_CASE(4u, true)
-        NOMAP_JIT_BIND_CASE(5u, true)
-        NOMAP_JIT_BIND_CASE(6u, true)
-        NOMAP_JIT_BIND_CASE(7u, true)
-#undef NOMAP_JIT_BIND_CASE
-      default:
-        panic("jit: bad feature mask");
-    }
-    for (JitInstr &r : chain.records)
-        r.fn = (*table)[static_cast<size_t>(r.spec)];
-    chain.boundFeat = feat;
+    // capture per variant suffices. Capture lazily: touching a
+    // variant's code pages costs resident memory, and a process
+    // typically runs two or three of the sixteen.
+    static std::array<LabelTable, kNumVariants> tables;
+    static std::once_flag captured[kNumVariants];
+    std::call_once(captured[variant], [variant] {
+        kVariants[variant](nullptr, nullptr, nullptr, nullptr, nullptr,
+                           0, tables[variant].data());
+    });
+    return tables[variant];
 }
 
 Value
 JitExecutor::run(JitChain &chain, IrFunction &ir, BytecodeFunction &fn,
                  const Value *args, uint32_t nargs)
 {
-    // Same once-per-run feature selection as IrExecutor::run —
-    // rebinding only ever happens when armFaultPlan / accounting mode
-    // changed between runs, never under a live frame.
+    // Select the template variant once per run. env.inj is armed (or
+    // not) for a whole engine run, and TraceBuffer::enabled() is
+    // fixed at construction, so neither can change under a running
+    // frame: rebinding only ever happens when armFaultPlan or the
+    // accounting mode changed between runs.
     unsigned feat = (env.perOpAccounting ? 0u : kFeatBatched) |
                     (env.inj ? kFeatInject : 0u) |
                     (env.trace && env.trace->enabled() ? kFeatTrace
                                                        : 0u);
-    if (chain.boundFeat != feat)
-        bind(chain, feat);
-
-    switch ((chain.aware ? 8u : 0u) | feat) {
-#define NOMAP_JIT_RUN_CASE(f, a)                                        \
-      case (((a) ? 8u : 0u) | (f)):                                     \
-        return runImpl<(f), (a)>(this, &chain, &ir, &fn, args, nargs,   \
-                                 nullptr);
-        NOMAP_JIT_RUN_CASE(0u, false)
-        NOMAP_JIT_RUN_CASE(1u, false)
-        NOMAP_JIT_RUN_CASE(2u, false)
-        NOMAP_JIT_RUN_CASE(3u, false)
-        NOMAP_JIT_RUN_CASE(4u, false)
-        NOMAP_JIT_RUN_CASE(5u, false)
-        NOMAP_JIT_RUN_CASE(6u, false)
-        NOMAP_JIT_RUN_CASE(7u, false)
-        NOMAP_JIT_RUN_CASE(0u, true)
-        NOMAP_JIT_RUN_CASE(1u, true)
-        NOMAP_JIT_RUN_CASE(2u, true)
-        NOMAP_JIT_RUN_CASE(3u, true)
-        NOMAP_JIT_RUN_CASE(4u, true)
-        NOMAP_JIT_RUN_CASE(5u, true)
-        NOMAP_JIT_RUN_CASE(6u, true)
-        NOMAP_JIT_RUN_CASE(7u, true)
-#undef NOMAP_JIT_RUN_CASE
+    unsigned variant = (chain.aware ? kVariantAware : 0u) | feat;
+    if (chain.boundFeat != feat) {
+        const LabelTable &table = labels(variant);
+        for (JitInstr &r : chain.records)
+            r.fn = table[static_cast<size_t>(r.spec)];
+        chain.boundFeat = feat;
     }
-    panic("jit: bad feature mask");
+    return kVariants[variant](this, &chain, &ir, &fn, args, nargs,
+                              nullptr);
 }
 
 template <unsigned kFeat, bool kAware>
@@ -267,9 +246,9 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
     // Frame prologue + argument marshalling.
     env.acct.chargeInstructions(ir.tier, 8, ir.txAware);
 
-    // Transaction-owner state for this frame (see ir_executor.cc; in
-    // non-aware chains the owner flag is provably never set and the
-    // per-op watchdog compiles out).
+    // Transaction-owner state for this frame (in non-aware chains the
+    // owner flag is provably never set and the per-op watchdog
+    // compiles out).
     bool tx_owner = false;
     std::vector<Value> tx_snapshot;
     uint32_t tx_entry_pc = 0;
@@ -288,7 +267,8 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
     };
 
     // Batched mode: take back the charged-but-unexecuted suffix of
-    // the current segment (everything after the op at ip).
+    // the current segment (everything after the op at ip). Zero when
+    // the op at ip ends its segment.
     [[maybe_unused]] auto refundAfterCurrent = [&] {
         uint64_t rest =
             static_cast<uint64_t>(ip->chargeFrom) - ip->ownScaled;
@@ -324,13 +304,13 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
         JIT_PEROP();
         goto *ip->fn;
 
-#include "ftl/op_bodies.inc"
+#include "jit/op_bodies.inc"
 
         // ---- Fused superinstruction templates --------------------------
         // Bound only in non-aware chains (buildJitChain): the second
         // component's per-op charge happens inside the template, so
-        // the observable accounting sequence is identical to FTL
-        // executing the two records back to back.
+        // the observable accounting sequence is identical to an
+        // unfused chain executing the two records back to back.
         JIT_CMP_BRANCH(Lt, x < y)
         JIT_CMP_BRANCH(Le, x <= y)
         JIT_CMP_BRANCH(Gt, x > y)

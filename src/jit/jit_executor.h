@@ -3,28 +3,40 @@
 
 /**
  * @file
- * The region template-compilation tier (EngineConfig::jitTier).
+ * Executor for DFG/FTL code.
  *
- * Executes a JitChain (jit_chain.h): each record carries the address
- * of a build-time-compiled handler template specialized for its
- * (opcode, operand-shape) pair, and each template ends by jumping
- * straight through the *next record's* bound address — so a hot
- * region runs as a chain of continuations with zero dispatch-table
- * lookups, zero opcode decode, and zero operand-shape tests, its
- * indirect branches replicated per template so the host BTB learns
- * the region's actual control flow (the vmgen/gforth replication
- * trick, applied to bound per-record continuations).
+ * This stands in for the machine code LLVM would emit: it runs the
+ * optimized IR while the cost model counts the x86-64-equivalent
+ * dynamic instructions each IR op would have compiled to. Everything
+ * observable — check executions by category, deoptimizations through
+ * stack maps, transactions with true rollback and Baseline re-entry,
+ * cache and HTM footprint traffic — happens for real.
  *
- * The op bodies are shared with the FTL executor: both loops expand
- * ftl/op_bodies.inc, so an op's Accounting calls, fault-injection
- * sites, trace events, deopt/OSR-into-Baseline and transactional
- * abort/unwind paths are one piece of code. This loop owns only its
+ * Every DFG and FTL activation runs as a JitChain (jit_chain.h): each
+ * record carries the address of a build-time-compiled handler
+ * template for its op spec, and each template ends by jumping
+ * straight through the *next record's* bound address — so a region
+ * runs as a chain of continuations with zero dispatch-table lookups
+ * and zero opcode decode, its indirect branches replicated per
+ * template so the host BTB learns the region's actual control flow
+ * (the vmgen/gforth replication trick, applied to bound per-record
+ * continuations).
+ *
+ * The unfused op bodies live in jit/op_bodies.inc; this loop owns the
  * dispatch (label capture and binding), the per-op preamble, and the
  * fused superinstruction templates, which are composed from the same
- * file's helpers. tests/test_jit.cc pins that part: the compiled tier
- * is bit-identical to FTL in results, ExecutionStats, and trace
- * streams, so it is a pure host-speed tier, exactly like quickening
- * and batching before it.
+ * file's helpers. Whether a chain fuses is EngineConfig::jitTier;
+ * tests/test_jit.cc pins that fused chains are bit-identical to
+ * unfused ones in results, ExecutionStats, and trace streams, so
+ * fusion is a pure host-speed choice.
+ *
+ * Speculative-execution rule: inside a transaction, a type-mismatched
+ * fast op (possible after NoMap's speculative hoisting or check
+ * combining) produces a deterministic garbage value, exactly like
+ * hardware executing past a removed check; the transaction's
+ * remaining/sunk checks abort before such garbage can commit. Outside
+ * a transaction every fast op is fully guarded by construction and a
+ * mismatch is a compiler bug (simulator panic).
  */
 
 #include <array>
@@ -35,7 +47,7 @@
 
 namespace nomap {
 
-/** Executes one compiled-region invocation (including nested tiers). */
+/** Executes one DFG/FTL invocation (including nested tiers). */
 class JitExecutor
 {
   public:
@@ -54,14 +66,31 @@ class JitExecutor
               const Value *args, uint32_t nargs);
 
   private:
-    // Feature mask bits, identical to IrExecutor's: each combination
-    // is a separately compiled copy of the continuation templates,
-    // selected (and bound into the chain) once per run.
-    static constexpr unsigned kFeatBatched = 1u;
-    static constexpr unsigned kFeatInject = 2u;
-    static constexpr unsigned kFeatTrace = 4u;
+    /**
+     * Feature mask bits. Each combination compiles a separate copy of
+     * the templates, selected (and bound into the chain) once per
+     * run, so a disabled feature costs nothing on the hot path — not
+     * even a predicted branch. Batched charges each charge segment's
+     * static cost once on segment entry (refunding the unexecuted
+     * suffix on deopt/abort/watchdog exits); clear, every op is
+     * charged individually. Every variant must produce bit-identical
+     * results, ExecutionStats, and traces; the differential
+     * accounting/trace/chaos tests enforce it.
+     */
+    static constexpr unsigned kFeatBatched = 1u; ///< Batched accounting.
+    static constexpr unsigned kFeatInject = 2u;  ///< Fault plan armed.
+    static constexpr unsigned kFeatTrace = 4u;   ///< Trace sink live.
+
+    /** Variant index bit: the chain is tx-aware (JitChain::aware). */
+    static constexpr unsigned kVariantAware = 8u;
+    /** Template variants: every feature mask, tx-aware or not. */
+    static constexpr unsigned kNumVariants = 16;
 
     using LabelTable = std::array<const void *, kNumJitSpecs>;
+    using RunFn = Value (*)(JitExecutor *self, JitChain *chain,
+                            IrFunction *ir, BytecodeFunction *fn,
+                            const Value *args, uint32_t nargs,
+                            const void **capture);
 
     /**
      * The template bodies. Static (not a member) so the label-capture
@@ -79,12 +108,11 @@ class JitExecutor
                          const Value *args, uint32_t nargs,
                          const void **capture);
 
-    /** Memoized label table of one template variant. */
-    template <unsigned kFeat, bool kAware>
-    static const LabelTable &labels();
+    /** runImpl instantiations, indexed by variant. */
+    static const RunFn kVariants[kNumVariants];
 
-    /** Bind every record's `fn` for @p feat (and chain->aware). */
-    static void bind(JitChain &chain, unsigned feat);
+    /** Memoized label table of one template variant. */
+    static const LabelTable &labels(unsigned variant);
 
     ExecEnv &env;
     BytecodeExecutor &baseline;

@@ -282,6 +282,13 @@ wireToRequest(const WireRequest &wire, Request *request,
         }
         return false;
     }
+    if (wire.traceCapacity > kMaxWireTraceCapacity) {
+        if (error) {
+            *error = strprintf("trace capacity %u out of range",
+                               static_cast<unsigned>(wire.traceCapacity));
+        }
+        return false;
+    }
     request->id = wire.id;
     request->source = wire.source;
     request->config = EngineConfig();

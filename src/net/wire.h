@@ -40,13 +40,20 @@ constexpr uint8_t kWireVersion = 1;
 /** Hard cap on one frame's payload (decode error above this). */
 constexpr uint32_t kMaxFramePayloadBytes = 8u << 20;
 
+/**
+ * Largest trace capacity a wire request may ask for. The engine
+ * reserves that many trace events up front (about 40 MiB here), so an
+ * unchecked value could exhaust the server's memory.
+ */
+constexpr uint32_t kMaxWireTraceCapacity = 1u << 20;
+
 /** The subset of Request a remote client controls. */
 struct WireRequest {
     uint64_t id = 0;
     uint8_t arch = 0; ///< Architecture (validated on decode).
     uint64_t timeoutMs = 0;
     int32_t maxRetries = -1;
-    uint32_t traceCapacity = 0;
+    uint32_t traceCapacity = 0; ///< At most kMaxWireTraceCapacity.
     std::string tenant;
     std::string source;
 
@@ -129,7 +136,8 @@ class FrameDecoder
 
 /**
  * Build the service Request a decoded wire request denotes. Returns
- * false (setting @p error) on an out-of-range architecture.
+ * false (setting @p error) on an out-of-range architecture or trace
+ * capacity.
  */
 bool wireToRequest(const WireRequest &wire, Request *request,
                    std::string *error);

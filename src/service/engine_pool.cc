@@ -20,9 +20,9 @@ engineConfigKey(const EngineConfig &config)
     // traceCapacity is part of the identity: a shelved traceless
     // isolate must never serve a request that expects a trace buffer.
     // Knobs with no guest-visible effect (perOpAccounting, jitTier —
-    // the template tier is pinned bit-identical by the jit
-    // differential) stay out of the key on purpose: shelving must not
-    // fragment per host-speed flavor.
+    // chain fusion is pinned bit-identical to unfused chains by the
+    // jit differential) stay out of the key on purpose: shelving must
+    // not fragment per host-speed flavor.
     return strprintf(
         "%u|%u|%llu|%llu|%llu|%llu|%llu|%u|%u",
         static_cast<unsigned>(config.arch),

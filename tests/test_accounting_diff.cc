@@ -94,9 +94,8 @@ TEST_P(AccountingDiff, KrakenStatsMatchPerOpReference)
     compareSuite(krakenSuite(), GetParam(), false);
 }
 
-// The same differential through the region template tier: its
-// per-op-accounting loop variants, including the per-component
-// charges inside fused superinstruction templates, run nowhere else.
+// The same differential with superinstruction fusion on: the
+// per-component charges inside fused templates run nowhere else.
 TEST_P(AccountingDiff, SunSpiderJitStatsMatchPerOpReference)
 {
     compareSuite(sunspiderSuite(), GetParam(), true);
@@ -147,18 +146,17 @@ TEST(AccountingChargePlan, InvariantUnderQuickening)
     EXPECT_TRUE(any_quickened);
 }
 
-// Region entry audit for the template-JIT tier: the compiled tier
-// (and the FTL executor's vm_seg_entry) charges chargeFrom[t] when
-// control enters flat index t via a Jump/Branch. That is only exact
-// if every such target *begins* a charge segment — otherwise the
-// suffix [t..end] would be charged on top of a segment already
-// charged in full at its head. computeChargePlan guarantees this by
-// ending segments at block ends, and blocks end before every target;
-// the observable consequence is that the record preceding any target
-// closes its segment (its chargeFrom is exactly its own cost). Audit
-// that invariant over every FTL flat stream the suites compile,
-// including streams whose bytecode was quickened into
-// superinstructions before tier-up.
+// Region entry audit for the DFG/FTL chains: the executor's
+// jit_seg_entry charges chargeFrom[t] when control enters flat index
+// t via a Jump/Branch. That is only exact if every such target
+// *begins* a charge segment — otherwise the suffix [t..end] would be
+// charged on top of a segment already charged in full at its head.
+// computeChargePlan guarantees this by ending segments at block ends,
+// and blocks end before every target; the observable consequence is
+// that the record preceding any target closes its segment (its
+// chargeFrom is exactly its own cost). Audit that invariant over every
+// FTL flat stream the suites compile, including streams whose
+// bytecode was quickened into superinstructions before tier-up.
 TEST(AccountingChargePlan, FlatJumpTargetsBeginSegments)
 {
     size_t targets_audited = 0;
@@ -207,8 +205,7 @@ TEST(AccountingChargePlan, FlatJumpTargetsBeginSegments)
 // of that handoff were off by even one unit, batched and per-op
 // accounting would disagree. Force deopts at such mid-block entry
 // points with occurrence-counted check faults and require bit
-// identity, on every architecture and through both the FTL and the
-// template tier.
+// identity, on every architecture, with fusion off and on.
 TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
 {
     const Architecture archs[] = {
@@ -226,7 +223,7 @@ TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
                 for (bool jit : {false, true}) {
                     SCOPED_TRACE(spec.id + " on " +
                                  architectureName(arch) + " under " +
-                                 text + (jit ? " (jit tier)" : ""));
+                                 text + (jit ? " (fused)" : ""));
                     ExecutionStats stats[2];
                     for (int per_op = 0; per_op < 2; ++per_op) {
                         EngineConfig config;
@@ -247,7 +244,7 @@ TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
     }
     // Vacuity guard: the plans really did force OSR exits somewhere
     // in the sweep (unconverted checks deopt to their SMP), also with
-    // the template tier on.
+    // fusion on.
     EXPECT_GT(total_deopts, 0u);
     EXPECT_GT(jit_deopts, 0u);
 }

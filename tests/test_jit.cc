@@ -1,20 +1,20 @@
 /**
  * @file
- * Differential test for the region template-compilation tier
- * (EngineConfig::jitTier): an Engine run with the compiled tier
- * enabled must be bit-identical — result value, print output, every
- * ExecutionStats counter, and the full trace-event stream including
- * virtual-cycle timestamps — to the FTL reference path, and must
- * compute the same guest-visible results as a pure-interpreter run.
- * The chain of continuation templates is a pure host-speed
- * optimization; nothing guest-visible may move.
+ * Differential test for superinstruction fusion in the DFG/FTL chains
+ * (EngineConfig::jitTier): an Engine run with fused chains must be
+ * bit-identical — result value, print output, every ExecutionStats
+ * counter, and the full trace-event stream including virtual-cycle
+ * timestamps — to the unfused reference chains, and must compute the
+ * same guest-visible results as a pure-interpreter run. Fusion is a
+ * pure host-speed optimization; nothing guest-visible may move.
  *
- * The equivalence must hold under armed deterministic fault plans
- * (the compiled path fires every injection site the FTL path fires,
- * in the same occurrence order), with tracing enabled, and across
- * adaptive replanning mid-abort-storm — where tier revisions must
- * respect the activeRuns/pendingRecompile deferral so the region
- * chain is never rebuilt under a live activation.
+ * The equivalence must hold for DFG code as well as FTL code, under
+ * armed deterministic fault plans (the fused path fires every
+ * injection site the unfused path fires, in the same occurrence
+ * order), with tracing enabled, and across adaptive replanning
+ * mid-abort-storm — where tier revisions must respect the
+ * activeRuns/pendingRecompile deferral so the region chain is never
+ * freed under a live activation.
  */
 
 #include <algorithm>
@@ -40,10 +40,12 @@ struct Outcome {
 
 Outcome
 runOutcome(const std::string &source, Architecture arch, bool jit,
-           uint32_t trace_capacity, const FaultPlan *plan)
+           uint32_t trace_capacity, const FaultPlan *plan,
+           Tier max_tier = Tier::Ftl)
 {
     EngineConfig config;
     config.arch = arch;
+    config.maxTier = max_tier;
     config.jitTier = jit;
     config.traceCapacity = trace_capacity;
     Engine engine(config);
@@ -60,49 +62,49 @@ runOutcome(const std::string &source, Architecture arch, bool jit,
 }
 
 void
-expectSameStats(const ExecutionStats &jit, const ExecutionStats &ftl)
+expectSameStats(const ExecutionStats &fused, const ExecutionStats &ref)
 {
     for (size_t b = 0;
          b < static_cast<size_t>(InstrBucket::NumBuckets); ++b) {
-        EXPECT_EQ(jit.instr[b], ftl.instr[b]) << "instr bucket " << b;
+        EXPECT_EQ(fused.instr[b], ref.instr[b]) << "instr bucket " << b;
     }
     for (size_t k = 0; k < static_cast<size_t>(CheckKind::NumKinds);
          ++k) {
-        EXPECT_EQ(jit.checks[k], ftl.checks[k])
+        EXPECT_EQ(fused.checks[k], ref.checks[k])
             << "check kind " << checkKindName(static_cast<CheckKind>(k));
     }
-    // Exact equality on the doubles (see test_accounting_diff): the
-    // compiled tier must charge the very same integer units in the
-    // very same order.
-    EXPECT_EQ(jit.cyclesTm, ftl.cyclesTm);
-    EXPECT_EQ(jit.cyclesNonTm, ftl.cyclesNonTm);
-    EXPECT_EQ(jit.ftlFunctionCalls, ftl.ftlFunctionCalls);
-    EXPECT_EQ(jit.deopts, ftl.deopts);
-    EXPECT_EQ(jit.baselineCompiles, ftl.baselineCompiles);
-    EXPECT_EQ(jit.dfgCompiles, ftl.dfgCompiles);
-    EXPECT_EQ(jit.ftlCompiles, ftl.ftlCompiles);
-    EXPECT_EQ(jit.ftlRecompiles, ftl.ftlRecompiles);
-    EXPECT_EQ(jit.txCommits, ftl.txCommits);
-    EXPECT_EQ(jit.txAborts, ftl.txAborts);
-    EXPECT_EQ(jit.txAbortsCapacity, ftl.txAbortsCapacity);
-    EXPECT_EQ(jit.txAbortsCheck, ftl.txAbortsCheck);
-    EXPECT_EQ(jit.txAbortsSof, ftl.txAbortsSof);
-    EXPECT_EQ(jit.avgWriteFootprintBytes, ftl.avgWriteFootprintBytes);
-    EXPECT_EQ(jit.maxWriteFootprintBytes, ftl.maxWriteFootprintBytes);
-    EXPECT_EQ(jit.maxWriteWaysUsed, ftl.maxWriteWaysUsed);
+    // Exact equality on the doubles (see test_accounting_diff): fused
+    // chains must charge the very same integer units in the very
+    // same order.
+    EXPECT_EQ(fused.cyclesTm, ref.cyclesTm);
+    EXPECT_EQ(fused.cyclesNonTm, ref.cyclesNonTm);
+    EXPECT_EQ(fused.ftlFunctionCalls, ref.ftlFunctionCalls);
+    EXPECT_EQ(fused.deopts, ref.deopts);
+    EXPECT_EQ(fused.baselineCompiles, ref.baselineCompiles);
+    EXPECT_EQ(fused.dfgCompiles, ref.dfgCompiles);
+    EXPECT_EQ(fused.ftlCompiles, ref.ftlCompiles);
+    EXPECT_EQ(fused.ftlRecompiles, ref.ftlRecompiles);
+    EXPECT_EQ(fused.txCommits, ref.txCommits);
+    EXPECT_EQ(fused.txAborts, ref.txAborts);
+    EXPECT_EQ(fused.txAbortsCapacity, ref.txAbortsCapacity);
+    EXPECT_EQ(fused.txAbortsCheck, ref.txAbortsCheck);
+    EXPECT_EQ(fused.txAbortsSof, ref.txAbortsSof);
+    EXPECT_EQ(fused.avgWriteFootprintBytes, ref.avgWriteFootprintBytes);
+    EXPECT_EQ(fused.maxWriteFootprintBytes, ref.maxWriteFootprintBytes);
+    EXPECT_EQ(fused.maxWriteWaysUsed, ref.maxWriteWaysUsed);
 }
 
 void
-expectSameOutcome(const Outcome &jit, const Outcome &ftl)
+expectSameOutcome(const Outcome &fused, const Outcome &ref)
 {
-    EXPECT_EQ(jit.result, ftl.result);
-    EXPECT_EQ(jit.printed, ftl.printed);
-    expectSameStats(jit.stats, ftl.stats);
+    EXPECT_EQ(fused.result, ref.result);
+    EXPECT_EQ(fused.printed, ref.printed);
+    expectSameStats(fused.stats, ref.stats);
     // Element-wise trace equality, virtual-cycle timestamps included:
-    // the compiled tier must not shift when any event is emitted.
-    ASSERT_EQ(jit.events.size(), ftl.events.size());
-    for (size_t i = 0; i < jit.events.size(); ++i) {
-        EXPECT_TRUE(jit.events[i] == ftl.events[i])
+    // fusion must not shift when any event is emitted.
+    ASSERT_EQ(fused.events.size(), ref.events.size());
+    for (size_t i = 0; i < fused.events.size(); ++i) {
+        EXPECT_TRUE(fused.events[i] == ref.events[i])
             << "trace event " << i << " differs";
     }
 }
@@ -110,13 +112,16 @@ expectSameOutcome(const Outcome &jit, const Outcome &ftl)
 void
 compareSuite(const std::vector<BenchmarkSpec> &suite, Architecture arch,
              uint32_t trace_capacity = 0,
-             const FaultPlan *plan = nullptr)
+             const FaultPlan *plan = nullptr,
+             Tier max_tier = Tier::Ftl)
 {
     for (const BenchmarkSpec &spec : suite) {
-        SCOPED_TRACE(spec.id + " on " + architectureName(arch));
-        expectSameOutcome(
-            runOutcome(spec.source, arch, true, trace_capacity, plan),
-            runOutcome(spec.source, arch, false, trace_capacity, plan));
+        SCOPED_TRACE(spec.id + " on " + architectureName(arch) +
+                     " up to " + tierName(max_tier));
+        expectSameOutcome(runOutcome(spec.source, arch, true,
+                                     trace_capacity, plan, max_tier),
+                          runOutcome(spec.source, arch, false,
+                                     trace_capacity, plan, max_tier));
     }
 }
 
@@ -134,18 +139,22 @@ class Jit : public ::testing::TestWithParam<Architecture>
 {
 };
 
+// Each suite also runs capped at the DFG, so DFG chains (never
+// transactional, so always fusable) meet the unfused reference too.
 TEST_P(Jit, SunSpiderMatchesFtlPath)
 {
-    compareSuite(sunspiderSuite(), GetParam());
+    for (Tier max_tier : {Tier::Ftl, Tier::Dfg})
+        compareSuite(sunspiderSuite(), GetParam(), 0, nullptr, max_tier);
 }
 
 TEST_P(Jit, KrakenMatchesFtlPath)
 {
-    compareSuite(krakenSuite(), GetParam());
+    for (Tier max_tier : {Tier::Ftl, Tier::Dfg})
+        compareSuite(krakenSuite(), GetParam(), 0, nullptr, max_tier);
 }
 
-// The three-way contract over generated programs: compiled tier vs
-// FTL bit-identical (stats and all), and both agree with a
+// The three-way contract over generated programs: fused vs unfused
+// chains bit-identical (stats and all), and both agree with a
 // pure-interpreter run on everything guest-visible (the interpreter
 // tiers differently, so its stats legitimately differ).
 TEST_P(Jit, FuzzProgramsMatchFtlAndInterpreter)
@@ -160,8 +169,8 @@ TEST_P(Jit, FuzzProgramsMatchFtlAndInterpreter)
                      architectureName(GetParam()) + "\nreproduce: " +
                      testutil::reproHint(seed) + " ./tests/test_jit");
         Outcome jit = runOutcome(src, GetParam(), true, 0, nullptr);
-        Outcome ftl = runOutcome(src, GetParam(), false, 0, nullptr);
-        expectSameOutcome(jit, ftl);
+        Outcome ref = runOutcome(src, GetParam(), false, 0, nullptr);
+        expectSameOutcome(jit, ref);
 
         EngineConfig interp_config;
         interp_config.arch = GetParam();
@@ -205,12 +214,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Adaptive replanning mid-abort-storm: revisions land at FTL-call
-// boundaries and rebuild the region chain via recompileFtl, which
-// must respect the activeRuns/pendingRecompile deferral — swapping
-// the chain (whose literal pool points at the recompiled IR's charge
-// plan) under a live recursive activation would be a use-after-free
-// the ASan config catches. The compiled tier must come out of the
-// storm bit-identical to the FTL path, replans and refunds included.
+// boundaries and replace the IR and its chain via recompileFtl, which
+// must respect the activeRuns/pendingRecompile deferral — freeing
+// the chain under a live recursive activation would be a
+// use-after-free the ASan config catches. Fused chains must come out
+// of the storm bit-identical to unfused ones, replans and refunds
+// included.
 TEST(JitRevisionBoundary, AdaptiveReplanMidStormMatchesFtl)
 {
     const std::string src = R"JS(
@@ -320,91 +329,81 @@ fusedFormOf(OpSpec spec)
 }
 
 // The differential above is only meaningful if the binder actually
-// specializes and fuses: a hot non-transactional (Base) program must
-// produce a chain that is index-aligned with the flat stream and
-// contains fused superinstruction templates. It also pins the
-// one-source contract both loops rely on: every flat record of every
-// DFG- and FTL-compiled function carries the unfused spec of its op
-// (the body both loops dispatch to), and every chain record carries
-// that spec or its fused form.
+// specializes and fuses: every DFG- and FTL-compiled function of a hot
+// non-transactional (Base) program must own a chain that is
+// index-aligned with its flat stream, and with fusion on, both DFG and
+// FTL chains must contain fused superinstruction templates; with it
+// off, none may. It also pins the one-source contract the executor
+// relies on: every flat record carries the unfused spec of its op
+// (the body the chain binds), and every chain record carries that
+// spec or its fused form.
 TEST(JitStructure, HotProgramBuildsFusedChain)
 {
-    EngineConfig config;
-    config.arch = Architecture::Base;
-    config.jitTier = true;
-    Engine engine(config);
-    engine.run(sunspiderSuite()[0].source);
-    const CompiledProgram *prog = engine.program();
-    ASSERT_NE(prog, nullptr);
+    for (bool fuse : {true, false}) {
+        SCOPED_TRACE(fuse ? "fused" : "unfused");
+        EngineConfig config;
+        config.arch = Architecture::Base;
+        config.jitTier = fuse;
+        Engine engine(config);
+        engine.run(sunspiderSuite()[0].source);
+        const CompiledProgram *prog = engine.program();
+        ASSERT_NE(prog, nullptr);
 
-    bool any_chain = false;
-    bool any_fused = false;
-    for (const auto &fnp : prog->functions) {
-        const FunctionState *state =
-            engine.functionState(fnp->name);
-        if (!state || !state->jit)
-            continue;
-        any_chain = true;
-        const IrFunction *ir = engine.ftlIr(fnp->name);
-        ASSERT_NE(ir, nullptr);
-        ASSERT_EQ(state->jit->records.size(), ir->flat.size());
-        for (size_t i = 0; i < state->jit->records.size(); ++i) {
-            const JitInstr &r = state->jit->records[i];
-            // Literal pool is a faithful copy of the flat record.
-            EXPECT_EQ(r.op, ir->flat[i].op);
-            EXPECT_EQ(r.ownScaled, ir->flat[i].ownScaled);
-            EXPECT_EQ(r.chargeFrom, ir->flat[i].chargeFrom);
-            OpSpec flat_spec = ir->flat[i].spec;
-            EXPECT_TRUE(r.spec == static_cast<JitSpec>(flat_spec) ||
-                        r.spec == fusedFormOf(flat_spec))
-                << fnp->name << " record " << i;
-            switch (r.spec) {
-              case JitSpec::CmpBranchLt:
-              case JitSpec::CmpBranchLe:
-              case JitSpec::CmpBranchGt:
-              case JitSpec::CmpBranchGe:
-              case JitSpec::CmpBranchEq:
-              case JitSpec::CmpBranchNe:
-              case JitSpec::AddIntChkOvf:
-              case JitSpec::SubIntChkOvf:
-              case JitSpec::MulIntChkOvf:
-                any_fused = true;
-                EXPECT_FALSE(state->jit->aware)
-                    << fnp->name << " record " << i;
-                break;
-              default:
-                break;
-            }
-        }
-    }
-    EXPECT_TRUE(any_chain);
-    EXPECT_TRUE(any_fused);
-
-    size_t dfg_records = 0;
-    size_t ftl_records = 0;
-    for (const auto &fnp : prog->functions) {
-        const FunctionState *state =
-            engine.functionState(fnp->name);
-        if (!state)
-            continue;
-        for (const CompiledIr *compiled :
-             {state->dfg.get(), state->ftl.get()}) {
-            if (!compiled)
+        size_t dfg_records = 0;
+        size_t ftl_records = 0;
+        bool any_fused_dfg = false;
+        bool any_fused_ftl = false;
+        for (const auto &fnp : prog->functions) {
+            const FunctionState *state =
+                engine.functionState(fnp->name);
+            if (!state)
                 continue;
-            for (size_t i = 0; i < compiled->ir.flat.size(); ++i) {
-                const ExecInstr &e = compiled->ir.flat[i];
-                EXPECT_EQ(opSpecName(e.spec), expectedSpecName(e))
-                    << fnp->name << " " << tierName(compiled->ir.tier)
-                    << " record " << i;
+            for (const CompiledIr *compiled :
+                 {state->dfg.get(), state->ftl.get()}) {
+                if (!compiled)
+                    continue;
+                const IrFunction &ir = compiled->ir;
+                const bool dfg = ir.tier == Tier::Dfg;
+                for (size_t i = 0; i < ir.flat.size(); ++i) {
+                    const ExecInstr &e = ir.flat[i];
+                    EXPECT_EQ(opSpecName(e.spec), expectedSpecName(e))
+                        << fnp->name << " " << tierName(ir.tier)
+                        << " record " << i;
+                }
+                (dfg ? dfg_records : ftl_records) += ir.flat.size();
+
+                ASSERT_NE(compiled->chain, nullptr)
+                    << fnp->name << " " << tierName(ir.tier);
+                const JitChain &chain = *compiled->chain;
+                ASSERT_EQ(chain.records.size(), ir.flat.size());
+                for (size_t i = 0; i < chain.records.size(); ++i) {
+                    const JitInstr &r = chain.records[i];
+                    // Literal pool is a faithful copy of the flat
+                    // record.
+                    EXPECT_EQ(r.op, ir.flat[i].op);
+                    EXPECT_EQ(r.ownScaled, ir.flat[i].ownScaled);
+                    EXPECT_EQ(r.chargeFrom, ir.flat[i].chargeFrom);
+                    OpSpec flat_spec = ir.flat[i].spec;
+                    EXPECT_TRUE(
+                        r.spec == static_cast<JitSpec>(flat_spec) ||
+                        r.spec == fusedFormOf(flat_spec))
+                        << fnp->name << " record " << i;
+                    if (static_cast<size_t>(r.spec) <=
+                        static_cast<size_t>(JitSpec::TxTile))
+                        continue;
+                    (dfg ? any_fused_dfg : any_fused_ftl) = true;
+                    EXPECT_TRUE(fuse)
+                        << fnp->name << " record " << i;
+                    EXPECT_FALSE(chain.aware)
+                        << fnp->name << " record " << i;
+                }
             }
-            if (compiled->ir.tier == Tier::Dfg)
-                dfg_records += compiled->ir.flat.size();
-            else
-                ftl_records += compiled->ir.flat.size();
         }
+        EXPECT_GT(dfg_records, 0u);
+        EXPECT_GT(ftl_records, 0u);
+        EXPECT_EQ(any_fused_dfg, fuse);
+        EXPECT_EQ(any_fused_ftl, fuse);
     }
-    EXPECT_GT(dfg_records, 0u);
-    EXPECT_GT(ftl_records, 0u);
 }
 
 // Transactional regions must run the tx-aware template variant and
@@ -425,17 +424,18 @@ TEST(JitStructure, TransactionalChainsAreAwareAndUnfused)
     for (const auto &fnp : prog->functions) {
         const FunctionState *state =
             engine.functionState(fnp->name);
-        if (!state || !state->jit)
+        if (!state || !state->ftl)
             continue;
+        const JitChain &chain = *state->ftl->chain;
         bool has_tx = false;
-        for (const JitInstr &r : state->jit->records)
+        for (const JitInstr &r : chain.records)
             has_tx = has_tx || isTxBoundaryOp(r.op);
-        EXPECT_EQ(state->jit->aware, has_tx) << fnp->name;
-        if (!state->jit->aware)
+        EXPECT_EQ(chain.aware, has_tx) << fnp->name;
+        if (!chain.aware)
             continue;
         any_aware = true;
-        for (size_t i = 0; i < state->jit->records.size(); ++i) {
-            const JitInstr &r = state->jit->records[i];
+        for (size_t i = 0; i < chain.records.size(); ++i) {
+            const JitInstr &r = chain.records[i];
             EXPECT_LE(static_cast<size_t>(r.spec),
                       static_cast<size_t>(JitSpec::TxTile))
                 << fnp->name << " record " << i << " fused";
@@ -477,9 +477,9 @@ TEST(JitStructure, JumpTargetsKeepStandaloneTemplates)
     for (const auto &fnp : prog->functions) {
         const FunctionState *state =
             engine.functionState(fnp->name);
-        if (!state || !state->jit)
+        if (!state || !state->ftl)
             continue;
-        const std::vector<JitInstr> &recs = state->jit->records;
+        const std::vector<JitInstr> &recs = state->ftl->chain->records;
         std::vector<bool> target(recs.size(), false);
         for (const JitInstr &r : recs) {
             if (r.op == IrOp::Jump) {

@@ -297,6 +297,16 @@ TEST(Wire, OutOfRangeEnumsAreRejected)
     Request converted;
     EXPECT_FALSE(wireToRequest(request, &converted, &error));
     EXPECT_NE(error.find("architecture"), std::string::npos);
+
+    request = sampleRequest();
+    for (uint32_t capacity : {kMaxWireTraceCapacity + 1, 0xFFFFFFFFu}) {
+        request.traceCapacity = capacity;
+        EXPECT_FALSE(wireToRequest(request, &converted, &error));
+        EXPECT_NE(error.find("trace capacity"), std::string::npos);
+    }
+    request.traceCapacity = kMaxWireTraceCapacity;
+    EXPECT_TRUE(wireToRequest(request, &converted, &error));
+    EXPECT_EQ(converted.config.traceCapacity, kMaxWireTraceCapacity);
 }
 
 TEST(Wire, FrameDecoderReassemblesByteAtATime)
@@ -895,6 +905,38 @@ TEST(NetLoopback, MalformedPayloadKeepsConnectionUsable)
               static_cast<uint8_t>(ResponseStatus::Ok));
     EXPECT_EQ(response.resultString, "4");
     EXPECT_EQ(server.connectionCounters().decodeErrors, 2u);
+    server.stop();
+}
+
+TEST(NetLoopback, HugeTraceCapacityAnswersErrorAndServerKeepsServing)
+{
+    ServerConfig config;
+    config.loops = envLoops();
+    NoMapServer server(std::move(config));
+    server.start();
+
+    NetClient client;
+    client.connect("127.0.0.1", server.port());
+    // Reserving 2^32 trace events would throw std::bad_alloc on a
+    // worker thread and terminate the server; it must be refused as a
+    // bad request instead.
+    WireRequest huge;
+    huge.id = 1;
+    huge.traceCapacity = 0xFFFFFFFFu;
+    huge.source = "result = 1;";
+    WireResponse refused = client.call(huge);
+    EXPECT_EQ(refused.status,
+              static_cast<uint8_t>(ResponseStatus::Error));
+    EXPECT_EQ(refused.id, 1u);
+    EXPECT_NE(refused.error.find("trace capacity"), std::string::npos);
+
+    WireRequest good;
+    good.id = 2;
+    good.source = "result = 3 + 4;";
+    WireResponse response = client.call(good);
+    EXPECT_EQ(response.status,
+              static_cast<uint8_t>(ResponseStatus::Ok));
+    EXPECT_EQ(response.resultString, "7");
     server.stop();
 }
 
