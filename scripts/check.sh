@@ -5,7 +5,9 @@
 #   1. plain           — full suite (unit, integration, concurrency,
 #                        chaos, trace, adaptive, examples, bench
 #                        smokes), then the disabled-trace wallclock
-#                        envelope and the net label on 4-loop servers
+#                        envelope, the net label on 4-loop servers,
+#                        and the net label on the portable poll(2)
+#                        backend
 #   2. address+undefined — full suite under ASan+UBSan
 #   3. thread          — concurrency-, chaos-, trace-, net-,
 #                        adaptive-, stm-, and jit-labeled tests only
@@ -82,6 +84,14 @@ step "1c/3 net label in 4-loop mode"
 # fallback elsewhere).
 run env CTEST_OUTPUT_ON_FAILURE=1 NOMAP_NET_LOOPS=4 \
     ctest --test-dir build-check -j "$JOBS" -L net
+
+step "1d/3 net label on the portable poll(2) backend"
+# Hosts without epoll run the server on poll(2); -DNOMAP_PORTABLE_POLL=ON
+# forces that backend here so it is compiled and tested on every run.
+run cmake -B build-check-poll -S . -DNOMAP_SANITIZE= -DNOMAP_PORTABLE_POLL=ON
+run cmake --build build-check-poll -j "$JOBS" --target test_net
+run env CTEST_OUTPUT_ON_FAILURE=1 \
+    ctest --test-dir build-check-poll -j "$JOBS" -L net
 
 step "2/3 AddressSanitizer + UndefinedBehaviorSanitizer, full suite"
 run cmake -B build-check-asan -S . "-DNOMAP_SANITIZE=address;undefined"

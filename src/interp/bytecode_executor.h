@@ -68,8 +68,9 @@ class BytecodeExecutor
      * clear charges every op individually. kFeat & kFeatQuicken
      * enables in-place rewriting of generic ops to their quickened
      * forms as feedback warms up. Every variant must produce
-     * bit-identical results, ExecutionStats, and traces; the
-     * differential accounting and quickening tests enforce it.
+     * bit-identical results, ExecutionStats, and traces (vcycles
+     * only per accounting mode); the differential accounting and
+     * quickening tests enforce it.
      */
     template <unsigned kFeat>
     Value executeImpl(BytecodeFunction &fn, std::vector<Value> &regs,

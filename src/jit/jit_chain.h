@@ -84,7 +84,7 @@ constexpr size_t kNumJitSpecs =
  * One linked region record: the bound template continuation plus this
  * record's literal-pool slice. Field meanings match ExecInstr
  * (ir/ir.h); `fn` is filled by JitExecutor when the chain is bound
- * against a feature mask.
+ * for an accounting mode.
  */
 struct JitInstr {
     /** Bound handler-template address (label of the live variant). */
@@ -110,7 +110,7 @@ struct JitInstr {
     uint32_t chargeFrom = 0;
 };
 
-/** Sentinel: chain not yet bound against any feature mask. */
+/** Sentinel: chain not yet bound for any accounting mode. */
 constexpr unsigned kJitUnbound = ~0u;
 
 /**
@@ -130,7 +130,7 @@ struct JitChain {
      * watchdog poll between its two components).
      */
     bool aware = false;
-    /** Feature mask `fn` is currently bound for (kJitUnbound: none). */
+    /** Accounting mode `fn` is bound for (kJitUnbound: none). */
     unsigned boundFeat = kJitUnbound;
 };
 

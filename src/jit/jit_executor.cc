@@ -51,13 +51,13 @@
  * and — in tx-aware chains only — the tx-owner instruction counter
  * and watchdog. A timer interrupt would abort a transaction that runs
  * unreasonably long (e.g. spinning on garbage after speculative check
- * removal); the engine.watchdog site polls here too, once per
+ * removal); the engine.watchdog site polls too, once per
  * in-transaction instruction, so a FaultPlan can kill a transaction
- * at any point of its lifetime. The watchdog counter advances per-op
- * in both accounting modes so its firing point never moves.
- * Non-aware chains compile to nothing here (this frame can never own
- * a transaction), which is what makes their continuation chain
- * branch-free between templates.
+ * at any point of its lifetime. The counter advances per-op in both
+ * accounting modes so its firing point never moves; only its compare
+ * is inline (jit_watchdog has the rest). Non-aware chains compile to
+ * nothing here (this frame can never own a transaction), which is
+ * what makes their continuation chain branch-free between templates.
  */
 #define JIT_PEROP()                                                     \
     do {                                                                \
@@ -68,20 +68,8 @@
         if constexpr (kAware) {                                         \
             if (tx_owner) {                                             \
                 tx_instr += ip->ownScaled;                              \
-                bool kill =                                             \
-                    tx_instr > config.txWatchdogInstructions;           \
-                if constexpr (kInject) {                                \
-                    kill = kill ||                                      \
-                           env.inj->fire(                               \
-                               FaultSite::EngineTxWatchdog);            \
-                }                                                       \
-                if (kill) {                                             \
-                    if constexpr (kBatched)                             \
-                        refundAfterCurrent();                           \
-                    env.acct.chargeCycles(                              \
-                        env.htm.abort(AbortCode::Irrevocable));         \
-                    return resume_baseline();                           \
-                }                                                       \
+                if (tx_instr >= watchdog_fast_limit) [[unlikely]]       \
+                    goto jit_watchdog;                                  \
             }                                                           \
         }                                                               \
     } while (0)
@@ -145,6 +133,40 @@ static_assert(static_cast<uint8_t>(CheckKind::Bounds) == 0 &&
               static_cast<uint8_t>(CheckKind::Property) == 3 &&
               static_cast<uint8_t>(CheckKind::Other) == 4);
 
+namespace {
+
+/**
+ * Fault injection at a check whose real test passed: true when the
+ * armed plan forces it to fail. Every armed check site counts this
+ * occurrence (no short-circuiting), so occurrence numbering never
+ * depends on which other actions are armed. A forced failure is only
+ * honored where the recovery can run: unconverted checks need an SMP
+ * to OSR through; converted checks need a live transaction to abort.
+ */
+[[gnu::cold, gnu::noinline]] bool
+injectCheckFailure(ExecEnv &env, const JitInstr &r, FaultSite site)
+{
+    bool force = env.inj->fire(site);
+    force |= env.inj->fire(FaultSite::CheckAny);
+    if (!r.converted && r.smpPc != kNoSmp)
+        force |= env.inj->fire(FaultSite::FtlOsr, r.smpPc);
+    return force && (r.converted ? env.htm.inTransaction()
+                                 : r.smpPc != kNoSmp);
+}
+
+/** Trace a deopt of check @p kind to the SMP at bytecode @p pc. */
+[[gnu::cold, gnu::noinline]] void
+traceDeopt(ExecEnv &env, CheckKind kind, uint32_t func_id, uint32_t pc)
+{
+    env.trace->emit({.vcycles = env.acct.virtualCycles(),
+                     .type = TraceEventType::Deopt,
+                     .code = static_cast<uint8_t>(kind),
+                     .funcId = func_id,
+                     .pc = pc});
+}
+
+} // namespace
+
 JitExecutor::JitExecutor(ExecEnv &env_, BytecodeExecutor &baseline_,
                          const EngineConfig &config_)
     : env(env_), baseline(baseline_), config(config_)
@@ -152,12 +174,8 @@ JitExecutor::JitExecutor(ExecEnv &env_, BytecodeExecutor &baseline_,
 }
 
 const JitExecutor::RunFn JitExecutor::kVariants[kNumVariants] = {
-    &runImpl<0, false>, &runImpl<1, false>, &runImpl<2, false>,
-    &runImpl<3, false>, &runImpl<4, false>, &runImpl<5, false>,
-    &runImpl<6, false>, &runImpl<7, false>, &runImpl<0, true>,
-    &runImpl<1, true>,  &runImpl<2, true>,  &runImpl<3, true>,
-    &runImpl<4, true>,  &runImpl<5, true>,  &runImpl<6, true>,
-    &runImpl<7, true>,
+    &runImpl<0, false>, &runImpl<kFeatBatched, false>,
+    &runImpl<0, true>, &runImpl<kFeatBatched, true>,
 };
 
 const JitExecutor::LabelTable &
@@ -167,7 +185,7 @@ JitExecutor::labels(unsigned variant)
     // unit, identical across executor instances, so one process-wide
     // capture per variant suffices. Capture lazily: touching a
     // variant's code pages costs resident memory, and a process
-    // typically runs two or three of the sixteen.
+    // typically runs the two batched ones of the four.
     static std::array<LabelTable, kNumVariants> tables;
     static std::once_flag captured[kNumVariants];
     std::call_once(captured[variant], [variant] {
@@ -181,15 +199,8 @@ Value
 JitExecutor::run(JitChain &chain, IrFunction &ir, BytecodeFunction &fn,
                  const Value *args, uint32_t nargs)
 {
-    // Select the template variant once per run. env.inj is armed (or
-    // not) for a whole engine run, and TraceBuffer::enabled() is
-    // fixed at construction, so neither can change under a running
-    // frame: rebinding only ever happens when armFaultPlan or the
-    // accounting mode changed between runs.
-    unsigned feat = (env.perOpAccounting ? 0u : kFeatBatched) |
-                    (env.inj ? kFeatInject : 0u) |
-                    (env.trace && env.trace->enabled() ? kFeatTrace
-                                                       : 0u);
+    // Rebind only when the accounting mode changed between runs.
+    unsigned feat = env.perOpAccounting ? 0u : kFeatBatched;
     unsigned variant = (chain.aware ? kVariantAware : 0u) | feat;
     if (chain.boundFeat != feat) {
         const LabelTable &table = labels(variant);
@@ -209,8 +220,6 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
                      const void **capture)
 {
     constexpr bool kBatched = (kFeat & kFeatBatched) != 0;
-    constexpr bool kInject = (kFeat & kFeatInject) != 0;
-    constexpr bool kTrace = (kFeat & kFeatTrace) != 0;
 
     // Label capture: store every template's address and leave before
     // touching any run operand (they are null in this mode). GCC's
@@ -253,6 +262,10 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
     std::vector<Value> tx_snapshot;
     uint32_t tx_entry_pc = 0;
     [[maybe_unused]] uint64_t tx_instr = 0;
+    // JIT_PEROP's compare: 0 (an armed run, or a limit of UINT64_MAX)
+    // sends every in-transaction op to jit_watchdog.
+    [[maybe_unused]] const uint64_t watchdog_fast_limit =
+        env.inj ? 0 : config.txWatchdogInstructions + 1;
     [[maybe_unused]] uint64_t tile_count = 0;
     // Transactional context when the current segment was charged — a
     // refund must come out of the same cycle bucket even if an abort
@@ -302,6 +315,17 @@ JitExecutor::runImpl(JitExecutor *self, JitChain *chain,
         }
 
         JIT_PEROP();
+        goto *ip->fn;
+
+    [[maybe_unused]] jit_watchdog:
+        // JIT_PEROP's slow path; survivors dispatch the record at ip.
+        if (tx_instr > config.txWatchdogInstructions ||
+            (env.inj && env.inj->fire(FaultSite::EngineTxWatchdog))) {
+            if constexpr (kBatched)
+                refundAfterCurrent();
+            env.acct.chargeCycles(env.htm.abort(AbortCode::Irrevocable));
+            return resume_baseline();
+        }
         goto *ip->fn;
 
 #include "jit/op_bodies.inc"

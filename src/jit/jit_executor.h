@@ -58,8 +58,8 @@ class JitExecutor
      * Run @p chain (compiled from @p ir, which stays the source of
      * truth for tier/txAware/constants). @p fn is the bytecode
      * function (deopt target / profiles). Rebinds the chain's
-     * template addresses if the engine's feature mask changed since
-     * the last run. May recursively dispatch calls through
+     * template addresses if the accounting mode changed since the
+     * last run. May recursively dispatch calls through
      * env.dispatcher.
      */
     Value run(JitChain &chain, IrFunction &ir, BytecodeFunction &fn,
@@ -67,24 +67,22 @@ class JitExecutor
 
   private:
     /**
-     * Feature mask bits. Each combination compiles a separate copy of
-     * the templates, selected (and bound into the chain) once per
-     * run, so a disabled feature costs nothing on the hot path — not
-     * even a predicted branch. Batched charges each charge segment's
+     * The one compile-time feature bit, selected (and bound into the
+     * chain) once per run. Batched charges each charge segment's
      * static cost once on segment entry (refunding the unexecuted
      * suffix on deopt/abort/watchdog exits); clear, every op is
-     * charged individually. Every variant must produce bit-identical
-     * results, ExecutionStats, and traces; the differential
-     * accounting/trace/chaos tests enforce it.
+     * charged individually. Both produce bit-identical results,
+     * ExecutionStats, and trace events but for vcycles (a batched
+     * clock read includes its segment's unexecuted suffix); the
+     * differential tests enforce it. Fault injection and tracing are
+     * runtime tests with out-of-line slow paths.
      */
     static constexpr unsigned kFeatBatched = 1u; ///< Batched accounting.
-    static constexpr unsigned kFeatInject = 2u;  ///< Fault plan armed.
-    static constexpr unsigned kFeatTrace = 4u;   ///< Trace sink live.
 
     /** Variant index bit: the chain is tx-aware (JitChain::aware). */
-    static constexpr unsigned kVariantAware = 8u;
-    /** Template variants: every feature mask, tx-aware or not. */
-    static constexpr unsigned kNumVariants = 16;
+    static constexpr unsigned kVariantAware = 2u;
+    /** Template variants: both accounting modes, tx-aware or not. */
+    static constexpr unsigned kNumVariants = 4;
 
     using LabelTable = std::array<const void *, kNumJitSpecs>;
     using RunFn = Value (*)(JitExecutor *self, JitChain *chain,

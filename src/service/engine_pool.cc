@@ -297,10 +297,12 @@ ExecutionService::execute(Job &job, WorkerSlot &slot)
     uint64_t timeout_ms = job.request.timeoutMs
                               ? job.request.timeoutMs
                               : cfg.defaultTimeoutMs;
-    int64_t deadline =
-        timeout_ms ? job.enqueuedUs +
-                         static_cast<int64_t>(timeout_ms) * 1000
-                   : 0;
+    // A deadline past int64_t's range saturates to the latest one.
+    int64_t deadline = 0;
+    if (timeout_ms &&
+        (__builtin_mul_overflow(timeout_ms, 1000, &deadline) ||
+         __builtin_add_overflow(deadline, job.enqueuedUs, &deadline)))
+        deadline = INT64_MAX;
     uint32_t max_retries =
         job.request.maxRetries >= 0
             ? static_cast<uint32_t>(job.request.maxRetries)

@@ -15,6 +15,7 @@
 #include "engine/engine.h"
 #include "inject/fault_plan.h"
 #include "suites/suite.h"
+#include "trace/trace.h"
 
 namespace nomap {
 namespace {
@@ -205,7 +206,11 @@ TEST(AccountingChargePlan, FlatJumpTargetsBeginSegments)
 // of that handoff were off by even one unit, batched and per-op
 // accounting would disagree. Force deopts at such mid-block entry
 // points with occurrence-counted check faults and require bit
-// identity, on every architecture, with fusion off and on.
+// identity, on every architecture, with fusion off and on, and with
+// tracing off and on. Traced runs must also emit the same events,
+// field for field except the vcycles timestamp: batched accounting
+// charges a whole segment on entry, so a clock read mid-segment
+// already includes the segment's unexecuted suffix.
 TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
 {
     const Architecture archs[] = {
@@ -215,26 +220,46 @@ TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
     const char *plans[] = {"check.any@3", "check.bounds@5"};
     uint64_t total_deopts = 0;
     uint64_t jit_deopts = 0;
+    uint64_t traced_deopts = 0;
     for (const char *text : plans) {
         FaultPlan plan = FaultPlan::parse(text);
         for (Architecture arch : archs) {
             for (const BenchmarkSpec &spec :
                  {sunspiderSuite()[0], sunspiderSuite()[1]}) {
-                for (bool jit : {false, true}) {
+                for (int mode = 0; mode < 4; ++mode) {
+                    bool jit = (mode & 1) != 0;
+                    uint32_t trace_capacity = mode & 2 ? 1u << 16 : 0;
                     SCOPED_TRACE(spec.id + " on " +
                                  architectureName(arch) + " under " +
-                                 text + (jit ? " (fused)" : ""));
+                                 text + (jit ? " (fused)" : "") +
+                                 (trace_capacity ? " (traced)" : ""));
                     ExecutionStats stats[2];
+                    std::vector<TraceEvent> events[2];
                     for (int per_op = 0; per_op < 2; ++per_op) {
                         EngineConfig config;
                         config.arch = arch;
                         config.perOpAccounting = per_op != 0;
                         config.jitTier = jit;
+                        config.traceCapacity = trace_capacity;
                         Engine engine(config);
                         engine.armFaultPlan(&plan);
                         stats[per_op] = engine.run(spec.source).stats;
+                        if (engine.trace()) {
+                            EXPECT_EQ(engine.trace()->dropped(), 0u);
+                            events[per_op] = engine.trace()->events();
+                        }
                     }
                     expectBitIdentical(stats[0], stats[1]);
+                    ASSERT_EQ(events[0].size(), events[1].size());
+                    for (size_t i = 0; i < events[0].size(); ++i) {
+                        TraceEvent batched = events[0][i];
+                        TraceEvent per_op = events[1][i];
+                        batched.vcycles = per_op.vcycles = 0;
+                        EXPECT_TRUE(batched == per_op)
+                            << "trace event " << i << " differs";
+                        if (batched.type == TraceEventType::Deopt)
+                            ++traced_deopts;
+                    }
                     total_deopts += stats[0].deopts;
                     if (jit)
                         jit_deopts += stats[0].deopts;
@@ -244,9 +269,10 @@ TEST(AccountingChargePlan, OsrMidBlockRefundsExactly)
     }
     // Vacuity guard: the plans really did force OSR exits somewhere
     // in the sweep (unconverted checks deopt to their SMP), also with
-    // fusion on.
+    // fusion on, and traced runs recorded them.
     EXPECT_GT(total_deopts, 0u);
     EXPECT_GT(jit_deopts, 0u);
+    EXPECT_GT(traced_deopts, 0u);
 }
 
 // Plan revisions land at FTL-call boundaries, where batched

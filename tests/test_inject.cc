@@ -204,6 +204,30 @@ for (var r = 0; r < 90; r++) out = (out + work(A)) % 100000;
 result = out;
 )JS";
 
+// A check polls its kind's site and check.any on every passing
+// execution, also where the first poll fires: occurrence numbering of
+// one action must not depend on which other actions are armed.
+TEST(FaultInjectorEngine, EveryCheckCountsItsKindAndAnyOccurrence)
+{
+    EngineConfig config;
+    config.arch = Architecture::Base;
+    FaultPlan plan = FaultPlan::parse("check.bounds@1,check.type@2");
+    Engine engine(config);
+    engine.armFaultPlan(&plan);
+    engine.run(kLoopProgram);
+
+    const FaultInjector &inj = *engine.faultInjector();
+    uint64_t kinds = 0;
+    for (FaultSite site :
+         {FaultSite::CheckType, FaultSite::CheckBounds,
+          FaultSite::CheckProperty, FaultSite::CheckOverflow,
+          FaultSite::CheckOther})
+        kinds += inj.occurrences(site);
+    EXPECT_GT(inj.occurrences(FaultSite::CheckBounds), 0u);
+    EXPECT_GT(inj.occurrences(FaultSite::CheckType), 1u);
+    EXPECT_EQ(inj.occurrences(FaultSite::CheckAny), kinds);
+}
+
 TEST(FaultInjectorEngine, ArmedPlanWithNoMatchingSiteIsZeroOverhead)
 {
     // Acceptance criterion: arming a plan whose actions never fire

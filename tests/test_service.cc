@@ -261,6 +261,17 @@ result = i;
     ASSERT_TRUE(after.ok()) << after.error;
     EXPECT_EQ(after.resultString, "42");
 
+    // Deadlines too far out for int64_t microseconds saturate instead
+    // of wrapping into the past.
+    for (uint64_t huge : {uint64_t{1} << 62, UINT64_MAX}) {
+        Request far;
+        far.source = "result = 21 * 2;";
+        far.timeoutMs = huge;
+        Response r = service.submit(std::move(far)).get();
+        ASSERT_TRUE(r.ok()) << huge << ": " << r.error;
+        EXPECT_EQ(r.resultString, "42");
+    }
+
     EXPECT_EQ(service.metrics().timeouts, 1u);
 }
 
