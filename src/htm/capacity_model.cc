@@ -105,8 +105,6 @@ class LimitedSetModel final : public CapacityModel
         if (lines.size() >= curEntries)
             return false;
         lines.push_back(line);
-        highWater = std::max<uint32_t>(
-            highWater, static_cast<uint32_t>(lines.size()));
         return true;
     }
 
@@ -164,7 +162,6 @@ class LimitedSetModel final : public CapacityModel
     uint32_t curEntries;
     uint32_t nominalWays;
     uint32_t curWays;
-    uint32_t highWater = 0;
     std::vector<Addr> lines;
 };
 
@@ -197,17 +194,19 @@ class BloomSignatureModel final : public CapacityModel
     insert(Addr addr) override
     {
         Addr line = addr / kLineSize;
-        uint64_t h = mixLine(line);
-        bits[h & (kBits - 1)] = true;
-        bits[(h >> 32) & (kBits - 1)] = true;
+        setBits(line, true);
         seen.insert(line);
         return true;
     }
 
+    /** Resets only the recorded lines' bits: O(lines), not O(kBits). */
     void
     clear() override
     {
-        std::fill(bits.begin(), bits.end(), false);
+        if (seen.empty())
+            return;
+        for (Addr line : seen)
+            setBits(line, false);
         seen.clear();
     }
 
@@ -242,6 +241,15 @@ class BloomSignatureModel final : public CapacityModel
 
   private:
     static constexpr uint32_t kBits = 8192; // Power of two.
+
+    void
+    setBits(Addr line, bool value)
+    {
+        uint64_t h = mixLine(line);
+        bits[h & (kBits - 1)] = value;
+        bits[(h >> 32) & (kBits - 1)] = value;
+    }
+
     uint32_t nominalWays;
     std::vector<bool> bits;
     std::unordered_set<Addr> seen;

@@ -42,9 +42,9 @@ TransactionManager::begin()
     if (depth > 1)
         return 0; // Flattened nesting: inner begins are free.
 
+    // Both footprint sets are already empty: every outermost commit
+    // and abort clears them, and a squeeze builds an empty set.
     sofFlag = false;
-    writeSet->clear();
-    readSet->clear();
     if (rollback)
         rollback->txCheckpoint();
     ++statsData.begins;

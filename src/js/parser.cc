@@ -13,6 +13,32 @@ parseProgram(const std::string &source)
     return parser.parse();
 }
 
+/**
+ * The nesting levels one parse function holds: enter() takes one more
+ * and fails past kMaxNesting; all are released when the function
+ * returns.
+ */
+class Parser::NestingScope
+{
+  public:
+    explicit NestingScope(Parser &parser_) : parser(parser_) {}
+    NestingScope(const NestingScope &) = delete;
+    NestingScope &operator=(const NestingScope &) = delete;
+    ~NestingScope() { parser.depth -= held; }
+
+    void
+    enter()
+    {
+        ++held;
+        if (++parser.depth > kMaxNesting)
+            fatal("line %u: nesting too deep", parser.peek().line);
+    }
+
+  private:
+    Parser &parser;
+    uint32_t held = 0;
+};
+
 Parser::Parser(std::vector<Token> tokens)
     : toks(std::move(tokens))
 {
@@ -102,6 +128,8 @@ Parser::parseFunction()
 StmtPtr
 Parser::parseStatement()
 {
+    NestingScope nesting(*this);
+    nesting.enter();
     uint32_t line = peek().line;
     StmtPtr stmt;
     switch (peek().kind) {
@@ -304,6 +332,7 @@ isAssignTarget(const Expr &e)
 ExprPtr
 Parser::parseAssignment()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseConditional();
     TokenKind k = peek().kind;
     BinaryOp op;
@@ -328,6 +357,7 @@ Parser::parseAssignment()
     advance();
     if (!isAssignTarget(*lhs))
         fatal("line %u: invalid assignment target", line);
+    nesting.enter();
     ExprPtr rhs = parseAssignment();
     ExprPtr result;
     if (compound) {
@@ -347,6 +377,8 @@ Parser::parseConditional()
     ExprPtr cond = parseLogicalOr();
     if (!match(TokenKind::Question))
         return cond;
+    NestingScope nesting(*this);
+    nesting.enter();
     ExprPtr then_expr = parseAssignment();
     expect(TokenKind::Colon, "in conditional expression");
     ExprPtr else_expr = parseAssignment();
@@ -357,8 +389,10 @@ Parser::parseConditional()
 ExprPtr
 Parser::parseLogicalOr()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseLogicalAnd();
     while (match(TokenKind::OrOr)) {
+        nesting.enter();
         ExprPtr rhs = parseLogicalAnd();
         lhs = std::make_unique<LogicalExpr>(LogicalOp::Or, std::move(lhs),
                                             std::move(rhs));
@@ -369,8 +403,10 @@ Parser::parseLogicalOr()
 ExprPtr
 Parser::parseLogicalAnd()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseBitOr();
     while (match(TokenKind::AndAnd)) {
+        nesting.enter();
         ExprPtr rhs = parseBitOr();
         lhs = std::make_unique<LogicalExpr>(LogicalOp::And, std::move(lhs),
                                             std::move(rhs));
@@ -381,8 +417,10 @@ Parser::parseLogicalAnd()
 ExprPtr
 Parser::parseBitOr()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseBitXor();
     while (match(TokenKind::BitOr)) {
+        nesting.enter();
         ExprPtr rhs = parseBitXor();
         lhs = std::make_unique<BinaryExpr>(BinaryOp::BitOr, std::move(lhs),
                                            std::move(rhs));
@@ -393,8 +431,10 @@ Parser::parseBitOr()
 ExprPtr
 Parser::parseBitXor()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseBitAnd();
     while (match(TokenKind::BitXor)) {
+        nesting.enter();
         ExprPtr rhs = parseBitAnd();
         lhs = std::make_unique<BinaryExpr>(BinaryOp::BitXor, std::move(lhs),
                                            std::move(rhs));
@@ -405,8 +445,10 @@ Parser::parseBitXor()
 ExprPtr
 Parser::parseBitAnd()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseEquality();
     while (match(TokenKind::BitAnd)) {
+        nesting.enter();
         ExprPtr rhs = parseEquality();
         lhs = std::make_unique<BinaryExpr>(BinaryOp::BitAnd, std::move(lhs),
                                            std::move(rhs));
@@ -417,6 +459,7 @@ Parser::parseBitAnd()
 ExprPtr
 Parser::parseEquality()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseRelational();
     for (;;) {
         BinaryOp op;
@@ -430,6 +473,7 @@ Parser::parseEquality()
             op = BinaryOp::StrictNotEq;
         else
             return lhs;
+        nesting.enter();
         ExprPtr rhs = parseRelational();
         lhs = std::make_unique<BinaryExpr>(op, std::move(lhs),
                                            std::move(rhs));
@@ -439,6 +483,7 @@ Parser::parseEquality()
 ExprPtr
 Parser::parseRelational()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseShift();
     for (;;) {
         BinaryOp op;
@@ -452,6 +497,7 @@ Parser::parseRelational()
             op = BinaryOp::Ge;
         else
             return lhs;
+        nesting.enter();
         ExprPtr rhs = parseShift();
         lhs = std::make_unique<BinaryExpr>(op, std::move(lhs),
                                            std::move(rhs));
@@ -461,6 +507,7 @@ Parser::parseRelational()
 ExprPtr
 Parser::parseShift()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseAdditive();
     for (;;) {
         BinaryOp op;
@@ -472,6 +519,7 @@ Parser::parseShift()
             op = BinaryOp::UShr;
         else
             return lhs;
+        nesting.enter();
         ExprPtr rhs = parseAdditive();
         lhs = std::make_unique<BinaryExpr>(op, std::move(lhs),
                                            std::move(rhs));
@@ -481,6 +529,7 @@ Parser::parseShift()
 ExprPtr
 Parser::parseAdditive()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseMultiplicative();
     for (;;) {
         BinaryOp op;
@@ -490,6 +539,7 @@ Parser::parseAdditive()
             op = BinaryOp::Sub;
         else
             return lhs;
+        nesting.enter();
         ExprPtr rhs = parseMultiplicative();
         lhs = std::make_unique<BinaryExpr>(op, std::move(lhs),
                                            std::move(rhs));
@@ -499,6 +549,7 @@ Parser::parseAdditive()
 ExprPtr
 Parser::parseMultiplicative()
 {
+    NestingScope nesting(*this);
     ExprPtr lhs = parseUnary();
     for (;;) {
         BinaryOp op;
@@ -510,6 +561,7 @@ Parser::parseMultiplicative()
             op = BinaryOp::Mod;
         else
             return lhs;
+        nesting.enter();
         ExprPtr rhs = parseUnary();
         lhs = std::make_unique<BinaryExpr>(op, std::move(lhs),
                                            std::move(rhs));
@@ -519,6 +571,8 @@ Parser::parseMultiplicative()
 ExprPtr
 Parser::parseUnary()
 {
+    NestingScope nesting(*this);
+    nesting.enter();
     uint32_t line = peek().line;
     ExprPtr result;
     if (match(TokenKind::Minus)) {
@@ -551,6 +605,7 @@ Parser::parseUnary()
 ExprPtr
 Parser::parsePostfix()
 {
+    NestingScope nesting(*this);
     ExprPtr expr = parsePrimary();
     for (;;) {
         uint32_t line = peek().line;
@@ -589,6 +644,7 @@ Parser::parsePostfix()
         } else {
             return expr;
         }
+        nesting.enter();
     }
 }
 

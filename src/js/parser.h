@@ -8,6 +8,7 @@
  * Throws FatalError with line information on syntax errors.
  */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,11 +24,28 @@ Program parseProgram(const std::string &source);
 class Parser
 {
   public:
+    /**
+     * Deepest nesting parse() accepts, counting statements inside
+     * statements, operands inside unary operators, parentheses and
+     * array or object literals, and each link of an assignment,
+     * conditional, binary, logical or postfix chain. Parsing,
+     * compiling and freeing the AST all recurse once per level on the
+     * host stack, so deeper input gets a FatalError ("nesting too
+     * deep") instead of a stack overflow. The suites, the fuzz
+     * programs and nomap_bench nest at most 15 deep. One parenthesis
+     * level is ~15 parser frames, several KB of stack under ASan, so
+     * 1000 levels overflowed an 8 MB stack there; 256 keeps the
+     * deepest parse to a few MB.
+     */
+    static constexpr uint32_t kMaxNesting = 256;
+
     explicit Parser(std::vector<Token> tokens);
 
     Program parse();
 
   private:
+    class NestingScope;
+
     const Token &peek(int ahead = 0) const;
     const Token &advance();
     bool check(TokenKind kind) const;
@@ -63,6 +81,8 @@ class Parser
 
     std::vector<Token> toks;
     size_t pos = 0;
+    /** Nesting levels the active parse functions hold. */
+    uint32_t depth = 0;
 };
 
 } // namespace nomap

@@ -77,8 +77,11 @@ class Cache
      * @return Hit, Miss, or SWConflict when the line cannot be
      *         installed without evicting speculative state.
      *
-     * Defined here so it inlines into MemHierarchy::access, which the
-     * executors call for every simulated memory operation.
+     * Defined in the header, yet compilers keep it out of line: in a
+     * RelWithDebInfo build it is one weak symbol that the inlined
+     * copies of MemHierarchy::access call (8 call sites). Forcing an
+     * always_inline L1-MRU fast path grew the IR loop by ~10 % of
+     * its text and measured no faster, so it stays a call.
      */
     CacheResult
     access(Addr addr, bool is_write, bool speculative = false)

@@ -26,11 +26,14 @@ bool
 FootprintTracker::insert(Addr addr)
 {
     Addr line = addr / kLineSize;
-    auto &set = sets[setIndex(addr)];
+    uint32_t index = setIndex(addr);
+    auto &set = sets[index];
     if (std::find(set.begin(), set.end(), line) != set.end())
         return true;
     if (set.size() >= ways)
         return false;
+    if (set.empty())
+        touched.push_back(index);
     set.push_back(line);
     ++totalLines;
     maxWays = std::max<uint32_t>(maxWays,
@@ -49,8 +52,9 @@ FootprintTracker::contains(Addr addr) const
 void
 FootprintTracker::clear()
 {
-    for (auto &set : sets)
-        set.clear();
+    for (uint32_t index : touched)
+        sets[index].clear();
+    touched.clear();
     totalLines = 0;
     maxWays = 0;
 }

@@ -57,7 +57,11 @@ class FootprintTracker
     /** Largest number of tracked lines in any single set. */
     uint32_t maxWaysUsed() const { return maxWays; }
 
-    /** Forget everything (transaction commit or abort). */
+    /**
+     * Forget everything (transaction commit or abort). Costs the
+     * number of sets the footprint touched, not the geometry's set
+     * count: an empty tracker clears in O(1).
+     */
     void clear();
 
     uint32_t numWays() const { return ways; }
@@ -69,6 +73,8 @@ class FootprintTracker
     uint32_t numSets;
     /** Per-set list of line numbers (addr / kLineSize). */
     std::vector<std::vector<Addr>> sets;
+    /** Indices of the non-empty sets, in first-touch order. */
+    std::vector<uint32_t> touched;
     uint32_t totalLines = 0;
     uint32_t maxWays = 0;
 };

@@ -41,7 +41,10 @@ class MemHierarchy
      *        must be pinned with SW bits.
      * @return Latency of the access in cycles.
      *
-     * Defined here so the per-memory-op executor paths inline it.
+     * Defined here so it inlines into ExecEnv::memAccess. That is as
+     * far as inlining reaches: the executors call memAccess out of
+     * line (75 call sites in a RelWithDebInfo build), so a simulated
+     * memory operation costs that call plus Cache::access's.
      */
     uint32_t
     access(Addr addr, bool is_write, bool speculative = false)

@@ -6,99 +6,6 @@
 
 namespace nomap {
 
-void
-collectUses(const IrInstr &instr, std::vector<uint16_t> &uses)
-{
-    auto add = [&](uint16_t r) { uses.push_back(r); };
-    switch (instr.op) {
-      case IrOp::Nop:
-      case IrOp::Const:
-      case IrOp::LoadGlobal:
-      case IrOp::Jump:
-      case IrOp::ReturnUndef:
-      case IrOp::TxBegin:
-      case IrOp::TxEnd:
-      case IrOp::TxTile:
-        break;
-      case IrOp::Move:
-      case IrOp::NegInt:
-      case IrOp::NegDouble:
-      case IrOp::BitNotInt:
-      case IrOp::ToDouble:
-      case IrOp::ToBoolean:
-      case IrOp::NotBool:
-      case IrOp::CheckInt32:
-      case IrOp::CheckNumber:
-      case IrOp::CheckShape:
-      case IrOp::CheckArray:
-      case IrOp::CheckIndexInt:
-      case IrOp::CheckOverflow:
-      case IrOp::CheckNotHole:
-      case IrOp::GetSlot:
-      case IrOp::GetArrayLen:
-      case IrOp::StoreGlobal:
-      case IrOp::GenericUnary:
-      case IrOp::GenericGetProp:
-      case IrOp::Branch:
-      case IrOp::Return:
-        add(instr.a);
-        break;
-      case IrOp::AddInt:
-      case IrOp::SubInt:
-      case IrOp::MulInt:
-      case IrOp::AddDouble:
-      case IrOp::SubDouble:
-      case IrOp::MulDouble:
-      case IrOp::DivDouble:
-      case IrOp::ModDouble:
-      case IrOp::BitAndInt:
-      case IrOp::BitOrInt:
-      case IrOp::BitXorInt:
-      case IrOp::ShlInt:
-      case IrOp::ShrInt:
-      case IrOp::UShrInt:
-      case IrOp::CmpInt:
-      case IrOp::CmpDouble:
-      case IrOp::CheckBounds:
-      case IrOp::SetSlot:
-      case IrOp::GetElem:
-      case IrOp::GenericBinary:
-      case IrOp::GenericSetProp:
-      case IrOp::GenericGetIndex:
-        add(instr.a);
-        add(instr.b);
-        break;
-      case IrOp::CheckBoundsRange:
-      case IrOp::SetElem:
-      case IrOp::GenericSetIndex:
-        add(instr.a);
-        add(instr.b);
-        add(instr.c);
-        break;
-      case IrOp::NewArray:
-        for (uint32_t i = 0; i < instr.imm; ++i)
-            add(static_cast<uint16_t>(instr.a + i));
-        break;
-      case IrOp::NewObject:
-        for (uint32_t i = 0; i < instr.b; ++i)
-            add(static_cast<uint16_t>(instr.a + i));
-        break;
-      case IrOp::Call:
-      case IrOp::CallNative:
-      case IrOp::Intrinsic:
-        for (uint32_t i = 0; i < instr.b; ++i)
-            add(static_cast<uint16_t>(instr.a + i));
-        break;
-      case IrOp::CallMethod: {
-        add(instr.a);
-        uint32_t nargs = instr.imm % 16;
-        for (uint32_t i = 0; i < nargs; ++i)
-            add(static_cast<uint16_t>(instr.b + i));
-        break;
-      }
-    }
-}
-
 int32_t
 defOf(const IrInstr &instr)
 {
@@ -419,51 +326,64 @@ regsDefinedInLoop(const IrFunction &fn, const NaturalLoop &loop)
     return defined;
 }
 
-std::vector<std::vector<bool>>
-computeLiveIn(const IrFunction &fn)
+void
+RegSet::setFirst(size_t count)
+{
+    size_t full = count / 64;
+    for (size_t w = 0; w < full; ++w)
+        words[w] = ~uint64_t{0};
+    if (count % 64)
+        words[full] |= (uint64_t{1} << (count % 64)) - 1;
+}
+
+bool
+RegSet::unionWith(const RegSet &other)
+{
+    uint64_t added = 0;
+    for (size_t w = 0; w < words.size(); ++w) {
+        added |= other.words[w] & ~words[w];
+        words[w] |= other.words[w];
+    }
+    return added != 0;
+}
+
+void
+stepLiveness(const IrFunction &fn, const IrInstr &instr, RegSet &live)
+{
+    int32_t def = defOf(instr);
+    if (def >= 0)
+        live.reset(static_cast<size_t>(def));
+    bool opaque_smp = instr.isCheck() && !instr.converted;
+    if (!instr.isCheck() || opaque_smp)
+        forEachUse(instr, [&](uint16_t reg) { live.set(reg); });
+    if (opaque_smp || instr.op == IrOp::TxBegin ||
+        instr.op == IrOp::TxTile) {
+        live.setFirst(fn.bytecodeRegs);
+    }
+}
+
+Liveness
+computeLiveness(const IrFunction &fn)
 {
     size_t nblocks = fn.blocks.size();
-    std::vector<std::vector<bool>> live_out(
-        nblocks, std::vector<bool>(fn.numRegs, false));
-    std::vector<std::vector<bool>> live_in(
-        nblocks, std::vector<bool>(fn.numRegs, false));
+    Liveness result;
+    result.liveOut.assign(nblocks, RegSet(fn.numRegs));
+    result.liveIn.assign(nblocks, RegSet(fn.numRegs));
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t bi = nblocks; bi-- > 0;) {
-            const IrBlock &block = fn.blocks[bi];
-            std::vector<bool> live = live_out[bi];
-            for (size_t ii = block.instrs.size(); ii-- > 0;) {
-                const IrInstr &instr = block.instrs[ii];
-                int32_t def = defOf(instr);
-                if (def >= 0)
-                    live[static_cast<size_t>(def)] = false;
-                if (!instr.isCheck() || !instr.converted) {
-                    std::vector<uint16_t> uses;
-                    collectUses(instr, uses);
-                    for (uint16_t u : uses)
-                        live[u] = true;
-                }
-                if ((instr.isCheck() && !instr.converted) ||
-                    instr.op == IrOp::TxBegin ||
-                    instr.op == IrOp::TxTile) {
-                    for (uint16_t r = 0; r < fn.bytecodeRegs; ++r)
-                        live[r] = true;
-                }
-            }
-            live_in[bi] = live;
-            for (uint32_t pred : fn.blocks[bi].preds) {
-                auto &pout = live_out[pred];
-                for (size_t r = 0; r < live.size(); ++r) {
-                    if (live[r] && !pout[r]) {
-                        pout[r] = true;
-                        changed = true;
-                    }
-                }
-            }
+            // Same-size assignments: the sets' storage is reused.
+            RegSet &live = result.liveIn[bi];
+            live = result.liveOut[bi];
+            const std::vector<IrInstr> &instrs = fn.blocks[bi].instrs;
+            for (size_t ii = instrs.size(); ii-- > 0;)
+                stepLiveness(fn, instrs[ii], live);
+            for (uint32_t pred : fn.blocks[bi].preds)
+                changed |= result.liveOut[pred].unionWith(live);
         }
     }
-    return live_in;
+    return result;
 }
 
 } // namespace nomap

@@ -3,11 +3,12 @@
 
 /**
  * @file
- * Shared CFG analyses: register uses/defs, reverse postorder,
- * dominators, and natural-loop discovery. All passes and the NoMap
- * transaction planner are built on these.
+ * Shared CFG analyses: register uses/defs, liveness, reverse
+ * postorder, dominators, and natural-loop discovery. All passes and
+ * the NoMap transaction planner are built on these.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,8 +16,99 @@
 
 namespace nomap {
 
-/** Registers read by an instruction (appended to @p uses). */
-void collectUses(const IrInstr &instr, std::vector<uint16_t> &uses);
+/**
+ * Call @p f(reg) for every register @p instr reads, in operand order
+ * (register windows of calls and allocations element by element).
+ */
+template <typename F>
+void
+forEachUse(const IrInstr &instr, F &&f)
+{
+    switch (instr.op) {
+      case IrOp::Nop:
+      case IrOp::Const:
+      case IrOp::LoadGlobal:
+      case IrOp::Jump:
+      case IrOp::ReturnUndef:
+      case IrOp::TxBegin:
+      case IrOp::TxEnd:
+      case IrOp::TxTile:
+        break;
+      case IrOp::Move:
+      case IrOp::NegInt:
+      case IrOp::NegDouble:
+      case IrOp::BitNotInt:
+      case IrOp::ToDouble:
+      case IrOp::ToBoolean:
+      case IrOp::NotBool:
+      case IrOp::CheckInt32:
+      case IrOp::CheckNumber:
+      case IrOp::CheckShape:
+      case IrOp::CheckArray:
+      case IrOp::CheckIndexInt:
+      case IrOp::CheckOverflow:
+      case IrOp::CheckNotHole:
+      case IrOp::GetSlot:
+      case IrOp::GetArrayLen:
+      case IrOp::StoreGlobal:
+      case IrOp::GenericUnary:
+      case IrOp::GenericGetProp:
+      case IrOp::Branch:
+      case IrOp::Return:
+        f(instr.a);
+        break;
+      case IrOp::AddInt:
+      case IrOp::SubInt:
+      case IrOp::MulInt:
+      case IrOp::AddDouble:
+      case IrOp::SubDouble:
+      case IrOp::MulDouble:
+      case IrOp::DivDouble:
+      case IrOp::ModDouble:
+      case IrOp::BitAndInt:
+      case IrOp::BitOrInt:
+      case IrOp::BitXorInt:
+      case IrOp::ShlInt:
+      case IrOp::ShrInt:
+      case IrOp::UShrInt:
+      case IrOp::CmpInt:
+      case IrOp::CmpDouble:
+      case IrOp::CheckBounds:
+      case IrOp::SetSlot:
+      case IrOp::GetElem:
+      case IrOp::GenericBinary:
+      case IrOp::GenericSetProp:
+      case IrOp::GenericGetIndex:
+        f(instr.a);
+        f(instr.b);
+        break;
+      case IrOp::CheckBoundsRange:
+      case IrOp::SetElem:
+      case IrOp::GenericSetIndex:
+        f(instr.a);
+        f(instr.b);
+        f(instr.c);
+        break;
+      case IrOp::NewArray:
+        for (uint32_t i = 0; i < instr.imm; ++i)
+            f(static_cast<uint16_t>(instr.a + i));
+        break;
+      case IrOp::NewObject:
+      case IrOp::Call:
+      case IrOp::CallNative:
+      case IrOp::Intrinsic:
+        for (uint32_t i = 0; i < instr.b; ++i)
+            f(static_cast<uint16_t>(instr.a + i));
+        break;
+      case IrOp::CallMethod: {
+        f(instr.a);
+        uint32_t nargs = instr.imm % 16;
+        for (uint32_t i = 0; i < nargs; ++i)
+            f(static_cast<uint16_t>(instr.b + i));
+        break;
+      }
+    }
+}
 
 /** Register written, or -1. */
 int32_t defOf(const IrInstr &instr);
@@ -98,11 +190,60 @@ std::vector<bool> regsDefinedInLoop(const IrFunction &fn,
                                     const NaturalLoop &loop);
 
 /**
- * Per-block live-in register sets under the DCE liveness rules:
- * converted-check uses do not count; opaque SMPs, TxBegin, and
- * TxTile keep the whole baseline frame alive.
+ * A fixed-size register set stored as 64-bit words, so the liveness
+ * fixpoint copies and unions 64 registers at a time.
  */
-std::vector<std::vector<bool>> computeLiveIn(const IrFunction &fn);
+class RegSet
+{
+  public:
+    explicit RegSet(size_t regs) : words((regs + 63) / 64, 0) {}
+
+    bool
+    test(size_t reg) const
+    {
+        return (words[reg / 64] >> (reg % 64)) & 1;
+    }
+
+    void set(size_t reg) { words[reg / 64] |= uint64_t{1} << (reg % 64); }
+
+    void
+    reset(size_t reg)
+    {
+        words[reg / 64] &= ~(uint64_t{1} << (reg % 64));
+    }
+
+    /** Add registers [0, count). */
+    void setFirst(size_t count);
+
+    /** Add every register of @p other; true if that added any. */
+    bool unionWith(const RegSet &other);
+
+  private:
+    std::vector<uint64_t> words;
+};
+
+/**
+ * Step @p live (the registers live after @p instr) backward to the
+ * registers live before it, under the DCE liveness rules:
+ * converted-check uses do not count (a check dies with the value it
+ * guards), and opaque SMPs, TxBegin and TxTile keep the whole
+ * baseline frame alive, since a deopt or transaction snapshot must
+ * be able to rebuild it.
+ */
+void stepLiveness(const IrFunction &fn, const IrInstr &instr,
+                  RegSet &live);
+
+/** Per-block register liveness, indexed by block. */
+struct Liveness {
+    std::vector<RegSet> liveIn;
+    std::vector<RegSet> liveOut;
+};
+
+/**
+ * Backward liveness to fixpoint under stepLiveness's rules. The one
+ * liveness analysis DCE, loop DCE and empty-loop elimination share.
+ */
+Liveness computeLiveness(const IrFunction &fn);
 
 } // namespace nomap
 

@@ -7,27 +7,6 @@ namespace nomap {
 
 namespace {
 
-using BitSet = std::vector<bool>;
-
-void
-setBit(BitSet &set, uint16_t reg)
-{
-    set[reg] = true;
-}
-
-bool
-unionInto(BitSet &dst, const BitSet &src)
-{
-    bool changed = false;
-    for (size_t i = 0; i < dst.size(); ++i) {
-        if (src[i] && !dst[i]) {
-            dst[i] = true;
-            changed = true;
-        }
-    }
-    return changed;
-}
-
 /** Is the instruction always necessary regardless of its result? */
 bool
 hasSideEffects(const IrInstr &instr)
@@ -65,114 +44,53 @@ hasSideEffects(const IrInstr &instr)
     }
 }
 
-/**
- * Do this instruction's uses count toward register liveness? Uses by
- * converted checks do not: a check dies with the value it guards, so
- * counting its uses would keep dead values alive forever.
- */
-bool
-usesCountForLiveness(const IrInstr &instr)
-{
-    if (!instr.isCheck())
-        return true;
-    // CheckBoundsRange is synthesized by bounds combining after DCE
-    // runs, but be safe in case of re-runs: its operands are
-    // pass-created temporaries with no other uses.
-    return !instr.converted;
-}
-
 void
 runDceOnce(IrFunction &fn, PassStats &stats)
 {
-    size_t nblocks = fn.blocks.size();
-    std::vector<BitSet> live_out(nblocks, BitSet(fn.numRegs, false));
-
-    // Backward liveness to fixpoint.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (size_t bi = nblocks; bi-- > 0;) {
-            const IrBlock &block = fn.blocks[bi];
-            BitSet live = live_out[bi];
-            for (size_t ii = block.instrs.size(); ii-- > 0;) {
-                const IrInstr &instr = block.instrs[ii];
-                int32_t def = defOf(instr);
-                if (def >= 0)
-                    live[static_cast<size_t>(def)] = false;
-                if (usesCountForLiveness(instr)) {
-                    std::vector<uint16_t> uses;
-                    collectUses(instr, uses);
-                    for (uint16_t u : uses)
-                        setBit(live, u);
-                }
-                // Opaque SMPs and transaction snapshots need the whole
-                // baseline frame reconstructible.
-                bool snapshots =
-                    (instr.isCheck() && !instr.converted) ||
-                    instr.op == IrOp::TxBegin ||
-                    instr.op == IrOp::TxTile;
-                if (snapshots) {
-                    for (uint16_t r = 0; r < fn.bytecodeRegs; ++r)
-                        setBit(live, r);
-                }
-            }
-            // Propagate to predecessors' live-out.
-            for (uint32_t pred : fn.blocks[bi].preds)
-                changed |= unionInto(live_out[pred], live);
-        }
-    }
+    Liveness liveness = computeLiveness(fn);
 
     // Sweep: delete pure ops and loads whose result is dead, and
     // converted checks whose guarded registers are all dead.
-    for (size_t bi = 0; bi < nblocks; ++bi) {
-        IrBlock &block = fn.blocks[bi];
-        BitSet live = live_out[bi];
-        std::vector<bool> keep(block.instrs.size(), true);
-        for (size_t ii = block.instrs.size(); ii-- > 0;) {
-            const IrInstr &instr = block.instrs[ii];
+    RegSet live(fn.numRegs);
+    std::vector<bool> keep;
+    for (size_t bi = 0; bi < fn.blocks.size(); ++bi) {
+        std::vector<IrInstr> &instrs = fn.blocks[bi].instrs;
+        live = liveness.liveOut[bi];
+        keep.assign(instrs.size(), true);
+        for (size_t ii = instrs.size(); ii-- > 0;) {
+            const IrInstr &instr = instrs[ii];
             bool removable = false;
             if (!hasSideEffects(instr) && !instr.isCheck()) {
                 int32_t def = defOf(instr);
-                if (def >= 0 && !live[static_cast<size_t>(def)])
+                if (def >= 0 && !live.test(static_cast<size_t>(def)))
                     removable = true;
             } else if (instr.isCheck() && instr.converted) {
                 // A converted check survives only while some operand
                 // still feeds live (non-check) computation.
-                std::vector<uint16_t> uses;
-                collectUses(instr, uses);
+                bool any_use = false;
                 bool any_live = false;
-                for (uint16_t u : uses)
-                    any_live |= live[u];
-                removable = !any_live && !uses.empty();
+                forEachUse(instr, [&](uint16_t reg) {
+                    any_use = true;
+                    any_live |= live.test(reg);
+                });
+                removable = any_use && !any_live;
             }
             if (removable) {
                 keep[ii] = false;
                 ++stats.deadOpsRemoved;
                 continue;
             }
-            // Update running liveness.
-            int32_t def = defOf(instr);
-            if (def >= 0)
-                live[static_cast<size_t>(def)] = false;
-            if (usesCountForLiveness(instr)) {
-                std::vector<uint16_t> uses;
-                collectUses(instr, uses);
-                for (uint16_t u : uses)
-                    setBit(live, u);
-            }
-            if ((instr.isCheck() && !instr.converted) ||
-                instr.op == IrOp::TxBegin || instr.op == IrOp::TxTile) {
-                for (uint16_t r = 0; r < fn.bytecodeRegs; ++r)
-                    setBit(live, r);
-            }
+            stepLiveness(fn, instr, live);
         }
-        std::vector<IrInstr> kept;
-        kept.reserve(block.instrs.size());
-        for (size_t ii = 0; ii < block.instrs.size(); ++ii) {
+        size_t kept = 0;
+        for (size_t ii = 0; ii < instrs.size(); ++ii) {
             if (keep[ii])
-                kept.push_back(block.instrs[ii]);
+                instrs[kept++] = instrs[ii];
         }
-        block.instrs = std::move(kept);
+        instrs.resize(kept);
+        // Compiled IR lives as long as its function: drop the slack the
+        // appends of IR construction left (a no-op once it is tight).
+        instrs.shrink_to_fit();
     }
 }
 

@@ -72,10 +72,10 @@ runEmptyLoopElim(IrFunction &fn, PassStats &stats)
         // No register defined inside may be consumed after the loop.
         uint32_t exit_target = loop.exitTargets[0];
         std::vector<bool> defined = regsDefinedInLoop(fn, loop);
-        std::vector<std::vector<bool>> live_in = computeLiveIn(fn);
+        Liveness liveness = computeLiveness(fn);
         bool escapes = false;
         for (uint16_t r = 0; r < fn.numRegs; ++r)
-            escapes |= (defined[r] && live_in[exit_target][r]);
+            escapes |= (defined[r] && liveness.liveIn[exit_target].test(r));
         if (escapes)
             continue;
 

@@ -115,11 +115,9 @@ hoistLoop(IrFunction &fn, const NaturalLoop &loop, uint32_t preheader,
                     continue;
 
                 // All operands must be invariant.
-                std::vector<uint16_t> uses;
-                collectUses(instr, uses);
                 bool ok = true;
-                for (uint16_t u : uses)
-                    ok &= is_invariant(u);
+                forEachUse(instr,
+                           [&](uint16_t reg) { ok &= is_invariant(reg); });
                 if (!ok)
                     continue;
                 if (instr.op == IrOp::NewArray ||

@@ -113,10 +113,9 @@ class LoopMarker
             work.pop_back();
             const IrInstr &instr =
                 fn.blocks[coord.block].instrs[coord.index];
-            std::vector<uint16_t> uses;
-            collectUses(instr, uses);
-            for (uint16_t u : uses)
-                markReachingDefs(coord.block, coord.index, u);
+            forEachUse(instr, [&](uint16_t reg) {
+                markReachingDefs(coord.block, coord.index, reg);
+            });
         }
     }
 
@@ -138,7 +137,7 @@ runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
     std::vector<NaturalLoop> loops = findLoops(fn, idom);
     if (loops.empty())
         return;
-    std::vector<std::vector<bool>> live_in = computeLiveIn(fn);
+    Liveness liveness = computeLiveness(fn);
 
     for (const NaturalLoop &loop : loops) {
         // Opaque SMPs or tiling snapshots need every register.
@@ -174,7 +173,7 @@ runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
                 if (loop.contains(succ))
                     continue;
                 for (uint16_t r = 0; r < fn.numRegs; ++r) {
-                    if (live_in[succ][r])
+                    if (liveness.liveIn[succ].test(r))
                         marker.markAllDefs(r);
                 }
             }
@@ -191,19 +190,17 @@ runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
                 if (pureInLoop(instr)) {
                     remove[i] = !marker.isMarked(b, i);
                 } else if (instr.isCheck() && instr.converted) {
-                    std::vector<uint16_t> uses;
-                    collectUses(instr, uses);
-                    for (uint16_t u : uses) {
+                    forEachUse(instr, [&](uint16_t reg) {
                         for (uint32_t j = i; j-- > 0;) {
                             if (defOf(instrs[j]) ==
-                                static_cast<int32_t>(u)) {
+                                static_cast<int32_t>(reg)) {
                                 remove[i] =
                                     remove[i] ||
                                     !marker.isMarked(b, j);
                                 break;
                             }
                         }
-                    }
+                    });
                 }
             }
             std::vector<IrInstr> kept;

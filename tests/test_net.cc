@@ -940,6 +940,39 @@ TEST(NetLoopback, HugeTraceCapacityAnswersErrorAndServerKeepsServing)
     server.stop();
 }
 
+TEST(NetLoopback, DeepNestingAnswersErrorAndServerKeepsServing)
+{
+    ServerConfig config;
+    config.loops = envLoops();
+    NoMapServer server(std::move(config));
+    server.start();
+
+    NetClient client;
+    client.connect("127.0.0.1", server.port());
+    // 200k nested parentheses would overflow a worker thread's stack
+    // in the recursive-descent parser and kill every tenant; the
+    // parser's nesting limit must turn it into an error response.
+    WireRequest deep;
+    deep.id = 1;
+    deep.source = "result = " + std::string(200000, '(') + "1" +
+                  std::string(200000, ')') + ";";
+    WireResponse refused = client.call(deep);
+    EXPECT_EQ(refused.status,
+              static_cast<uint8_t>(ResponseStatus::Error));
+    EXPECT_EQ(refused.id, 1u);
+    EXPECT_NE(refused.error.find("nesting too deep"), std::string::npos)
+        << refused.error;
+
+    WireRequest good;
+    good.id = 2;
+    good.source = "result = 3 + 4;";
+    WireResponse response = client.call(good);
+    EXPECT_EQ(response.status,
+              static_cast<uint8_t>(ResponseStatus::Ok));
+    EXPECT_EQ(response.resultString, "7");
+    server.stop();
+}
+
 TEST(NetLoopback, ShedStatusCrossesTheWire)
 {
     FaultPlan plan = FaultPlan::parse("service.shardfull@1");

@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "js/parser.h"
@@ -153,6 +156,74 @@ TEST(Parser, SyntaxErrors)
     EXPECT_THROW(parseProgram("1 = 2;"), FatalError);
     EXPECT_THROW(parseProgram("++1;"), FatalError);
     EXPECT_THROW(parseProgram("x = [1, 2;"), FatalError);
+}
+
+/** @p open repeated @p n times, then @p middle, then @p close n times. */
+std::string
+nested(const std::string &open, size_t n, const std::string &middle,
+       const std::string &close)
+{
+    std::string out;
+    for (size_t i = 0; i < n; ++i)
+        out += open;
+    out += middle;
+    for (size_t i = 0; i < n; ++i)
+        out += close;
+    return out;
+}
+
+/** The FatalError message @p source raises, or "" if it parses. */
+std::string
+parseError(const std::string &source)
+{
+    try {
+        parseProgram(source);
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(Parser, NestingWithinTheLimitParses)
+{
+    // Each brace is one statement level, so the limit is exact here.
+    size_t limit = Parser::kMaxNesting;
+    EXPECT_EQ(parseError(nested("{", limit, "", "}")), "");
+    EXPECT_NE(parseError(nested("{", limit + 1, "", "}")), "");
+
+    size_t n = limit / 2;
+    EXPECT_EQ(parseError("x = " + nested("(", n, "1", ")") + ";"), "");
+    EXPECT_EQ(parseError("x = " + nested("[", n, "", "]") + ";"), "");
+    EXPECT_EQ(parseError("x = " + nested("- ", n, "1", "") + ";"), "");
+}
+
+TEST(Parser, TooDeepNestingIsAFatalError)
+{
+    size_t n = 200000;
+    const std::vector<std::string> sources = {
+        "var x = " + nested("(", n, "1", ")") + ";",
+        "var x = " + nested("[", n, "1", "]") + ";",
+        "var x = " + nested("{a: ", n, "1", "}") + ";",
+        "var x = " + nested("- ", n, "1", "") + ";",
+        "var x = " + nested("!", n, "true", "") + ";",
+        nested("{", n, "", "}"),
+        nested("if (x) ", n, "y = 1;", ""),
+        "var a; " + nested("a = ", n, "1", "") + ";",
+        "var a; " + nested("a += ", n, "1", "") + ";",
+        "var x = " + nested("a ? b : ", n, "c", "") + ";",
+        "var x = " + nested("a ? ", n, "b", " : c") + ";",
+        "var x = " + nested("1 + ", n, "1", "") + ";",
+        "var o = {}; var x = o" + nested(".a", n, "", "") + ";",
+    };
+    for (const std::string &source : sources) {
+        std::string error = parseError(source);
+        EXPECT_NE(error.find("line 1: nesting too deep"), std::string::npos)
+            << source.substr(0, 24) << "...: '" << error << "'";
+    }
+    // The line is the one the limit was crossed on.
+    EXPECT_NE(parseError("\n\n" + nested("(", n, "1", ")"))
+                  .find("line 3: nesting too deep"),
+              std::string::npos);
 }
 
 TEST(Parser, SwitchClauses)

@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "htm/capacity_model.h"
 #include "htm/transaction.h"
 #include "memsim/cache.h"
 #include "memsim/footprint.h"
@@ -140,12 +144,218 @@ TEST_P(FootprintProperty, MatchesReferenceSets)
     EXPECT_EQ(tracker.maxWaysUsed(), max_ways);
 }
 
+/**
+ * Reference footprint: distinct lines per set under a per-set bound
+ * (ways == 0: unbounded). One set models a fully associative buffer.
+ */
+class ReferenceFootprint
+{
+  public:
+    void
+    reset(uint32_t num_sets, uint32_t ways_)
+    {
+        ways = ways_;
+        sets.assign(num_sets, {});
+        lines = 0;
+    }
+
+    void
+    clear()
+    {
+        reset(static_cast<uint32_t>(sets.size()), ways);
+    }
+
+    bool
+    insert(uint64_t line)
+    {
+        auto &set = sets[line % sets.size()];
+        if (set.count(line))
+            return true;
+        if (ways != 0 && set.size() >= ways)
+            return false;
+        set.insert(line);
+        ++lines;
+        return true;
+    }
+
+    bool
+    contains(uint64_t line) const
+    {
+        return sets[line % sets.size()].count(line) != 0;
+    }
+
+    size_t lineCount() const { return lines; }
+
+    size_t
+    maxWays() const
+    {
+        size_t max_ways = 0;
+        for (const auto &set : sets)
+            max_ways = std::max(max_ways, set.size());
+        return max_ways;
+    }
+
+  private:
+    uint32_t ways = 0;
+    std::vector<std::set<uint64_t>> sets;
+    size_t lines = 0;
+};
+
+/**
+ * Drive @p insert through many transactions: a random-sized burst of
+ * lines, a clear, then the same burst again (a line a clear left
+ * behind would now count as already present) and a fresh burst.
+ * @p check compares the model against the reference after every
+ * insert and after every clear; @p between runs after each clear.
+ */
+template <typename Insert, typename Clear, typename Check,
+          typename Between>
+void
+runTransactions(uint64_t seed, ReferenceFootprint &ref, Insert insert,
+                Clear clear, Check check, Between between)
+{
+    Xorshift64Star rng(seed);
+    std::vector<Addr> burst;
+    for (int tx = 0; tx < 60; ++tx) {
+        bool replay = tx % 2 == 1;
+        if (!replay) {
+            burst.clear();
+            size_t size = 1 + rng.nextBounded(700);
+            for (size_t i = 0; i < size; ++i)
+                burst.push_back(rng.nextBounded(1 << 14) * kLineSize);
+        }
+        for (size_t i = 0; i < burst.size(); ++i) {
+            bool fits = ref.insert(burst[i] / kLineSize);
+            ASSERT_EQ(insert(burst[i]), fits)
+                << "tx " << tx << " insert " << i;
+            if (!fits)
+                break; // Contents are unspecified until clear().
+            check(tx);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        std::vector<Addr> held;
+        for (Addr addr : burst) {
+            if (ref.contains(addr / kLineSize))
+                held.push_back(addr);
+        }
+        clear();
+        ref.clear();
+        check(tx);
+        between(tx, held);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST_P(FootprintProperty, ClearMatchesReferenceAcrossTransactions)
+{
+    const CacheParams &p = GetParam();
+    FootprintTracker tracker(p.sizeBytes, p.ways);
+    ReferenceFootprint ref;
+    ref.reset(p.sizeBytes / (kLineSize * p.ways), p.ways);
+    runTransactions(
+        p.seed, ref,
+        [&](Addr addr) {
+            bool fits = tracker.insert(addr);
+            EXPECT_TRUE(!fits || tracker.contains(addr));
+            return fits;
+        },
+        [&] { tracker.clear(); },
+        [&](int tx) {
+            ASSERT_EQ(tracker.lineCount(), ref.lineCount()) << "tx " << tx;
+            ASSERT_EQ(tracker.footprintBytes(),
+                      ref.lineCount() * kLineSize);
+            ASSERT_EQ(tracker.maxWaysUsed(), ref.maxWays()) << "tx " << tx;
+        },
+        [&](int tx, const std::vector<Addr> &held) {
+            // Nothing the last transaction held survives its clear.
+            for (Addr addr : held)
+                ASSERT_FALSE(tracker.contains(addr)) << "tx " << tx;
+        });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, FootprintProperty,
     ::testing::Values(CacheParams{1024, 2, 21},
                       CacheParams{8192, 4, 22},
                       CacheParams{32 * 1024, 8, 23},
                       CacheParams{256 * 1024, 8, 24}));
+
+// ---- Capacity models vs. reference sets --------------------------------
+
+struct CapacityModelParams {
+    CapacityModelKind kind;
+    bool readSet;
+    uint32_t capacityBytes;
+    uint64_t seed;
+};
+
+class CapacityModelProperty
+    : public ::testing::TestWithParam<CapacityModelParams>
+{
+};
+
+/** The reference shape of @p model under its current squeeze. */
+void
+resetReferenceTo(ReferenceFootprint &ref, const CapacityModel &model,
+                 bool read_set)
+{
+    uint32_t lines = static_cast<uint32_t>(model.capacityBytes() /
+                                           kLineSize);
+    if (model.kind() == CapacityModelKind::WaysAssoc)
+        ref.reset(lines / model.numWays(), model.numWays());
+    else if (!read_set)
+        ref.reset(1, lines); // Fully associative write buffer.
+    else
+        ref.reset(1, 0); // Bloom signature: never overflows.
+}
+
+TEST_P(CapacityModelProperty, ClearMatchesReferenceAcrossTransactions)
+{
+    const CapacityModelParams &p = GetParam();
+    std::unique_ptr<CapacityModel> model =
+        p.readSet ? makeReadCapacityModel(p.kind, p.capacityBytes, 8)
+                  : makeWriteCapacityModel(p.kind, p.capacityBytes, 8);
+    bool bloom = p.readSet && p.kind == CapacityModelKind::LimitedSet;
+    ReferenceFootprint ref;
+    resetReferenceTo(ref, *model, p.readSet);
+    runTransactions(
+        p.seed, ref, [&](Addr addr) { return model->insert(addr); },
+        [&] { model->clear(); },
+        [&](int tx) {
+            ASSERT_EQ(model->lineCount(), ref.lineCount()) << "tx " << tx;
+            ASSERT_EQ(model->footprintBytes(),
+                      ref.lineCount() * kLineSize);
+            ASSERT_EQ(model->maxWaysUsed(), bloom ? 0 : ref.maxWays())
+                << "tx " << tx;
+        },
+        [&](int tx, const std::vector<Addr> &) {
+            if (tx != 30)
+                return;
+            // One squeeze, between transactions as the manager does.
+            uint64_t before = model->capacityBytes();
+            model->squeezeWays(4);
+            EXPECT_LE(model->capacityBytes(), before);
+            resetReferenceTo(ref, *model, p.readSet);
+        });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, CapacityModelProperty,
+    ::testing::Values(
+        CapacityModelParams{CapacityModelKind::WaysAssoc, false,
+                            256 * 1024, 31},
+        CapacityModelParams{CapacityModelKind::WaysAssoc, false,
+                            32 * 1024, 32},
+        CapacityModelParams{CapacityModelKind::WaysAssoc, true,
+                            256 * 1024, 33},
+        CapacityModelParams{CapacityModelKind::LimitedSet, false,
+                            256 * 1024, 34},
+        CapacityModelParams{CapacityModelKind::LimitedSet, false,
+                            32 * 1024, 35},
+        CapacityModelParams{CapacityModelKind::LimitedSet, true,
+                            256 * 1024, 36}));
 
 // ---- Heap undo log under random mutation streams ------------------------
 
