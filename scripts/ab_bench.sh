@@ -2,8 +2,12 @@
 #
 # Interleaved A/B of nomap_bench: a base revision against this checkout.
 #
-# Usage: scripts/ab_bench.sh <base-rev> <workload> [pairs] [seconds]
+# Usage: scripts/ab_bench.sh [--layers[=N]] <base-rev> <workload> [pairs] [seconds]
 #
+#   --layers  after the pairs, N (default 1) more interleaved --traced
+#             runs per side, and a second table of the per_layer
+#             metrics of BENCHMARK.json (median per side), to name
+#             the layer a change moved
 #   base-rev  any git revision (commit, tag, branch, HEAD~1)
 #   workload  paper-suite | paper-suite-jit | cold-start | serve
 #   pairs     runs per side (default 6)
@@ -28,8 +32,13 @@
 
 set -euo pipefail
 
-if [[ $# -lt 2 || $# -gt 4 ]]; then
-    sed -n '3,10p' "$0" >&2
+LAYER_RUNS=0
+case "${1:-}" in
+    --layers) LAYER_RUNS=1; shift ;;
+    --layers=*) LAYER_RUNS="${1#--layers=}"; shift ;;
+esac
+if [[ $# -lt 2 || $# -gt 4 || ! "$LAYER_RUNS" =~ ^[0-9]+$ ]]; then
+    sed -n '3,15p' "$0" >&2
     exit 2
 fi
 
@@ -79,8 +88,10 @@ build "$ROOT" "$HEAD_BUILD"
 rm -rf "$OUT"
 mkdir -p "$OUT/base" "$OUT/head"
 
+# run_side <base|head> <pair> [kind [extra flags]]: one nomap_bench run,
+# its log and last (JSON) line kept as <kind>.<pair>.{log,json}.
 run_side() {
-    local side="$1" pair="$2" bin
+    local side="$1" pair="$2" kind="${3:-result}" bin
     if [[ "$side" == base ]]; then
         bin="$BASE_BUILD/nomap_bench/nomap_bench"
     else
@@ -88,36 +99,45 @@ run_side() {
     fi
     # A failed check still prints its JSON line; the summary reads it.
     "$bin" "--workload=$WORKLOAD" "--seed=$SEED" \
-        "--seconds=$SECONDS_PER_RUN" "--out-dir=$OUT/$side" \
-        > "$OUT/$side/run.$pair.log" 2>&1 || true
-    tail -n 1 "$OUT/$side/run.$pair.log" > "$OUT/$side/result.$pair.json"
-    echo "ab_bench: pair $pair $side done" >&2
+        "--seconds=$SECONDS_PER_RUN" "--out-dir=$OUT/$side" "${@:4}" \
+        > "$OUT/$side/$kind.$pair.log" 2>&1 || true
+    tail -n 1 "$OUT/$side/$kind.$pair.log" > "$OUT/$side/$kind.$pair.json"
+    echo "ab_bench: $kind $pair $side done" >&2
 }
 
-for ((pair = 1; pair <= PAIRS; ++pair)); do
-    if ((pair % 2)); then
-        run_side base "$pair"
-        run_side head "$pair"
-    else
-        run_side head "$pair"
-        run_side base "$pair"
-    fi
-done
+# interleave <count> [kind [extra flags]]: alternate the two binaries,
+# swapping which goes first every pair.
+interleave() {
+    local count="$1" pair
+    for ((pair = 1; pair <= count; ++pair)); do
+        if ((pair % 2)); then
+            run_side base "$pair" "${@:2}"
+            run_side head "$pair" "${@:2}"
+        else
+            run_side head "$pair" "${@:2}"
+            run_side base "$pair" "${@:2}"
+        fi
+    done
+}
+
+interleave "$PAIRS"
+interleave "$LAYER_RUNS" traced --traced
 
 python3 - "$ROOT/BENCHMARK.json" "$OUT" "$PAIRS" "$WORKLOAD" \
-    "${base_sha:0:12}" <<'PY'
+    "${base_sha:0:12}" "$LAYER_RUNS" <<'PY'
 import json
 import statistics
 import sys
 
-spec_path, out, pairs, workload, base = sys.argv[1:]
+spec_path, out, pairs, workload, base, layer_runs = sys.argv[1:]
 pairs = int(pairs)
+layer_runs = int(layer_runs)
 with open(spec_path) as f:
     spec = json.load(f)
 
 
-def load(side, pair):
-    path = f"{out}/{side}/result.{pair}.json"
+def load(side, pair, kind="result"):
+    path = f"{out}/{side}/{kind}.{pair}.json"
     try:
         with open(path) as f:
             return json.load(f)
@@ -168,6 +188,31 @@ for metric in spec["end_to_end"]:
              else float("nan"))
     print(f"{name:<12} {describe(base_vals):>30} {describe(head_vals):>30} "
           f"{ratio:>6.3f} {wins:>3}/{len(paired)}")
+
+if layer_runs:
+    traced = {side: [load(side, p, "traced")
+                     for p in range(1, layer_runs + 1)]
+              for side in ("base", "head")}
+    incorrect += [f"traced {side} run {i + 1}"
+                  for side, results in traced.items()
+                  for i, r in enumerate(results)
+                  if r.get("correct") is not True]
+    print()
+    print(f"per-layer metrics, median of {layer_runs} --traced run(s) "
+          "per side; ratio = change/base")
+    print(f"{'metric':<28} {'base':>14} {'change':>14} {'ratio':>7}")
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results
+                         if name in r.get("metrics", {})]
+                  for side, results in traced.items()}
+        if not values["base"] or not values["head"]:
+            continue
+        base_med = statistics.median(values["base"])
+        head_med = statistics.median(values["head"])
+        ratio = head_med / base_med if base_med else float("nan")
+        print(f"{name:<28} {base_med:>14.6g} {head_med:>14.6g} "
+              f"{ratio:>7.3f}")
 if incorrect:
     print("ab_bench: correct=false in " + ", ".join(incorrect))
     sys.exit(1)

@@ -1,5 +1,6 @@
 #include "ftl/compile.h"
 
+#include "passes/analysis.h"
 #include "support/logging.h"
 
 namespace nomap {
@@ -7,25 +8,30 @@ namespace nomap {
 namespace {
 
 /**
- * Runs passes and attributes their PassStats deltas to PassReport
- * trace events. A pass that changed nothing emits nothing, so traces
- * only carry the passes that explain the final code.
+ * Runs passes over one function with the compile's analysis context
+ * and attributes their PassStats deltas to PassReport trace events. A
+ * pass that changed nothing emits nothing, so traces only carry the
+ * passes that explain the final code.
  */
 class PassRunner
 {
   public:
-    PassRunner(IrFunction &ir, PassStats &stats, TraceBuffer *trace,
-               const TraceClock *clock)
-        : ir(ir), stats(stats), trace(trace), clock(clock)
+    PassRunner(IrFunction &ir, AnalysisContext &ctx, PassStats &stats,
+               TraceBuffer *trace, const TraceClock *clock,
+               const PassObserver &observer)
+        : ir(ir), ctx(ctx), stats(stats), trace(trace), clock(clock),
+          observer(observer)
     {
     }
 
     void
-    run(TracePassId id, void (*pass)(IrFunction &, PassStats &))
+    run(TracePassId id,
+        void (*pass)(IrFunction &, AnalysisContext &, PassStats &))
     {
         uint32_t checks_before = totalChecksRemoved(stats);
         uint32_t ops_before = totalOpsChanged(stats);
-        pass(ir, stats);
+        pass(ir, ctx, stats);
+        observe(id);
         if (!trace || !trace->enabled())
             return;
         uint32_t checks = totalChecksRemoved(stats) - checks_before;
@@ -42,12 +48,33 @@ class PassRunner
         trace->emit(event);
     }
 
+    void
+    observe(TracePassId id)
+    {
+        if (observer)
+            observer(id, ir, ctx);
+    }
+
   private:
     IrFunction &ir;
+    AnalysisContext &ctx;
     PassStats &stats;
     TraceBuffer *trace;
     const TraceClock *clock;
+    const PassObserver &observer;
 };
+
+/**
+ * Drop the slack the builder's appends and the passes' insertions
+ * left in every block: compiled IR lives as long as its function.
+ * Passes compact in place, so this runs once, at the end.
+ */
+void
+trimInstrs(IrFunction &ir)
+{
+    for (IrBlock &block : ir.blocks)
+        block.instrs.shrink_to_fit();
+}
 
 } // namespace
 
@@ -55,16 +82,19 @@ CompiledIr
 compileFunction(const BytecodeFunction &fn, Heap &heap, Tier tier,
                 Architecture arch, uint32_t tx_scope_level,
                 TraceBuffer *trace, const TraceClock *clock,
-                const PlanOverrides &overrides)
+                const PlanOverrides &overrides,
+                const PassObserver &observer)
 {
     CompiledIr out;
     out.ir = buildIr(fn, heap, tier);
-    PassRunner passes(out.ir, out.passStats, trace, clock);
+    AnalysisContext ctx(out.ir);
+    PassRunner passes(out.ir, ctx, out.passStats, trace, clock, observer);
 
     if (tier == Tier::Dfg) {
         // The DFG runs its abstract interpreter and little else.
         passes.run(TracePassId::KindInference, runKindInference);
         passes.run(TracePassId::LocalCse, runLocalCse);
+        trimInstrs(out.ir);
         out.ir.verify();
         computeChargePlan(out.ir);
         return out;
@@ -79,7 +109,8 @@ compileFunction(const BytecodeFunction &fn, Heap &heap, Tier tier,
         pc.capacityBytes = overrides.capacityBytes;
         pc.budgetOverrideBytes = overrides.budgetOverrideBytes;
         pc.blacklistPcs = overrides.blacklistPcs;
-        out.planResult = planTransactions(out.ir, fn.profile, pc);
+        out.planResult = planTransactions(out.ir, ctx, fn.profile, pc);
+        passes.observe(TracePassId::Planner);
         if (trace && trace->enabled()) {
             for (const LoopPlan &plan : out.planResult.loops) {
                 TraceEvent event;
@@ -137,6 +168,7 @@ compileFunction(const BytecodeFunction &fn, Heap &heap, Tier tier,
         break;
     }
 
+    trimInstrs(out.ir);
     out.ir.verify();
     computeChargePlan(out.ir);
     return out;

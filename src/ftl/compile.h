@@ -8,6 +8,7 @@
  * optimization pipeline appropriate to the tier and architecture.
  */
 
+#include <functional>
 #include <memory>
 
 #include "engine/config.h"
@@ -45,6 +46,14 @@ struct PlanOverrides {
 };
 
 /**
+ * Called after each pass and after the planner with the pass's id,
+ * the function and the compile's analysis context. For tests that
+ * audit the pipeline between passes; compilation itself passes none.
+ */
+using PassObserver = std::function<void(
+    TracePassId, const IrFunction &, AnalysisContext &)>;
+
+/**
  * Compile @p fn at @p tier for @p arch.
  *
  * @param tx_scope_level NoMap recompilation escalation: 0 = loop
@@ -57,13 +66,15 @@ struct PlanOverrides {
  *        Accounting); null stamps 0.
  * @param overrides Adaptive-controller planner knobs; the default
  *        reproduces static planning bit-for-bit.
+ * @param observer Optional per-pass callback (see PassObserver).
  */
 CompiledIr compileFunction(const BytecodeFunction &fn, Heap &heap,
                            Tier tier, Architecture arch,
                            uint32_t tx_scope_level = 0,
                            TraceBuffer *trace = nullptr,
                            const TraceClock *clock = nullptr,
-                           const PlanOverrides &overrides = {});
+                           const PlanOverrides &overrides = {},
+                           const PassObserver &observer = {});
 
 } // namespace nomap
 

@@ -165,49 +165,31 @@ class LimitedSetModel final : public CapacityModel
     std::vector<Addr> lines;
 };
 
-/** SplitMix64 — a deterministic, platform-independent line hash. */
-uint64_t
-mixLine(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /**
- * Bloom-filter read signature: k=2 hashes into a fixed bit array.
- * Never overflows — signature-based read sets trade capacity aborts
- * for false conflicts, and a single-threaded VM has no conflicts — so
- * insert() always succeeds. The exact distinct-line count is kept
- * separately for the footprint statistics.
+ * Bloom-filter read signature of kBits bits. Never overflows —
+ * signature-based read sets trade capacity aborts for false
+ * conflicts, and a single-threaded VM has no conflicts — so insert()
+ * always succeeds and nothing ever queries the signature's bits: the
+ * model keeps only the exact distinct-line set the footprint
+ * statistics need, and reports the signature's size as its capacity.
  */
 class BloomSignatureModel final : public CapacityModel
 {
   public:
-    explicit BloomSignatureModel(uint32_t ways)
-        : nominalWays(ways), bits(kBits, false)
-    {
-    }
+    explicit BloomSignatureModel(uint32_t ways) : nominalWays(ways) {}
 
     bool
     insert(Addr addr) override
     {
-        Addr line = addr / kLineSize;
-        setBits(line, true);
-        seen.insert(line);
+        seen.insert(addr / kLineSize);
         return true;
     }
 
-    /** Resets only the recorded lines' bits: O(lines), not O(kBits). */
     void
     clear() override
     {
-        if (seen.empty())
-            return;
-        for (Addr line : seen)
-            setBits(line, false);
-        seen.clear();
+        if (!seen.empty())
+            seen.clear();
     }
 
     uint32_t
@@ -240,18 +222,9 @@ class BloomSignatureModel final : public CapacityModel
     }
 
   private:
-    static constexpr uint32_t kBits = 8192; // Power of two.
-
-    void
-    setBits(Addr line, bool value)
-    {
-        uint64_t h = mixLine(line);
-        bits[h & (kBits - 1)] = value;
-        bits[(h >> 32) & (kBits - 1)] = value;
-    }
+    static constexpr uint32_t kBits = 8192;
 
     uint32_t nominalWays;
-    std::vector<bool> bits;
     std::unordered_set<Addr> seen;
 };
 

@@ -31,8 +31,9 @@
  *    sizing).
  *
  *  - **BloomSignatureModel** — the read-set companion of
- *    LimitedSetModel: a k-hash bit-array signature that records lines
- *    but never overflows, matching signature-based read tracking.
+ *    LimitedSetModel: a bit-array signature that never overflows,
+ *    matching signature-based read tracking. Nothing queries the
+ *    signature itself, so the model keeps only the exact lines.
  *
  * Squeeze semantics (the htm.ways value-site) are uniform across
  * models: squeezing to W < current ways shrinks total capacity to

@@ -1,5 +1,7 @@
 #include "ir/ir.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -27,114 +29,6 @@ checkKindOf(IrOp op)
         return CheckKind::Other;
       default:
         panic("checkKindOf on non-check op");
-    }
-}
-
-bool
-readsMemory(IrOp op)
-{
-    switch (op) {
-      case IrOp::GetSlot:
-      case IrOp::GetArrayLen:
-      case IrOp::GetElem:
-      case IrOp::LoadGlobal:
-        return true;
-      default:
-        return isOpaqueCall(op);
-    }
-}
-
-bool
-writesMemory(IrOp op)
-{
-    switch (op) {
-      case IrOp::SetSlot:
-      case IrOp::SetElem:
-      case IrOp::StoreGlobal:
-        return true;
-      default:
-        return isOpaqueCall(op);
-    }
-}
-
-bool
-isOpaqueCall(IrOp op)
-{
-    switch (op) {
-      case IrOp::GenericBinary:
-      case IrOp::GenericUnary:
-      case IrOp::GenericGetProp:
-      case IrOp::GenericSetProp:
-      case IrOp::GenericGetIndex:
-      case IrOp::GenericSetIndex:
-      case IrOp::NewArray:
-      case IrOp::NewObject:
-      case IrOp::Call:
-      case IrOp::CallNative:
-      case IrOp::CallMethod:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isPureValueOp(IrOp op)
-{
-    switch (op) {
-      case IrOp::Const:
-      case IrOp::Move:
-      case IrOp::AddInt:
-      case IrOp::SubInt:
-      case IrOp::MulInt:
-      case IrOp::NegInt:
-      case IrOp::AddDouble:
-      case IrOp::SubDouble:
-      case IrOp::MulDouble:
-      case IrOp::DivDouble:
-      case IrOp::ModDouble:
-      case IrOp::NegDouble:
-      case IrOp::BitAndInt:
-      case IrOp::BitOrInt:
-      case IrOp::BitXorInt:
-      case IrOp::ShlInt:
-      case IrOp::ShrInt:
-      case IrOp::UShrInt:
-      case IrOp::BitNotInt:
-      case IrOp::CmpInt:
-      case IrOp::CmpDouble:
-      case IrOp::ToDouble:
-      case IrOp::ToBoolean:
-      case IrOp::NotBool:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-definesDst(IrOp op)
-{
-    if (isPureValueOp(op))
-        return true;
-    switch (op) {
-      case IrOp::GetSlot:
-      case IrOp::GetArrayLen:
-      case IrOp::GetElem:
-      case IrOp::LoadGlobal:
-      case IrOp::GenericBinary:
-      case IrOp::GenericUnary:
-      case IrOp::GenericGetProp:
-      case IrOp::GenericGetIndex:
-      case IrOp::NewArray:
-      case IrOp::NewObject:
-      case IrOp::Call:
-      case IrOp::CallNative:
-      case IrOp::Intrinsic:
-      case IrOp::CallMethod:
-        return true;
-      default:
-        return false;
     }
 }
 
@@ -264,37 +158,33 @@ opSpecOf(IrOp op, uint32_t imm)
     panic("opSpecOf: unmapped IR op");
 }
 
+/**
+ * Tier-scaled static cost of @p op: the DFG executor scales every
+ * op's cost individually (lround per op, then sum), so the plan bakes
+ * the scaling in per op to stay bit-identical with per-op accounting.
+ * One table per tier, computed once.
+ */
+uint32_t
+scaledCost(IrOp op, bool dfg)
+{
+    static const auto kTable = [] {
+        std::array<std::array<uint32_t, kNumIrOps>, 2> table{};
+        for (size_t i = 0; i < kNumIrOps; ++i) {
+            uint32_t cost = irBaseCost(static_cast<IrOp>(i));
+            table[0][i] = cost;
+            table[1][i] = static_cast<uint32_t>(
+                std::lround(cost * CostModel::kDfgFactor));
+        }
+        return table;
+    }();
+    return kTable[dfg][static_cast<size_t>(op)];
+}
+
 } // namespace
 
 void
 computeChargePlan(IrFunction &fn)
 {
-    // The DFG executor scales every op's cost individually (lround
-    // per op, then sum), so the plan must bake the scaling in per op
-    // to stay bit-identical with per-op accounting.
-    bool dfg = fn.tier == Tier::Dfg;
-    for (IrBlock &block : fn.blocks) {
-        size_t n = block.instrs.size();
-        block.ownScaled.assign(n, 0);
-        block.chargeFrom.assign(n, 0);
-        for (size_t i = n; i-- > 0;) {
-            const IrInstr &instr = block.instrs[i];
-            uint32_t cost = irBaseCost(instr.op);
-            uint32_t scaled =
-                dfg ? static_cast<uint32_t>(
-                          std::lround(cost * CostModel::kDfgFactor))
-                    : cost;
-            block.ownScaled[i] = scaled;
-            // A tx-boundary op ends its charge segment: whatever
-            // follows executes under a different transaction state
-            // and must be charged separately (the Tm/NonTm cycle
-            // split depends on inTransaction at charge time).
-            bool segEnd = isTxBoundaryOp(instr.op) || i + 1 == n;
-            block.chargeFrom[i] =
-                scaled + (segEnd ? 0 : block.chargeFrom[i + 1]);
-        }
-    }
-
     // One-time structural validation, so the executor hot loop can
     // dispatch without per-op bounds checks: every block is non-empty
     // and ends in a terminator (control cannot walk off a block), and
@@ -310,8 +200,9 @@ computeChargePlan(IrFunction &fn)
     }
 
     // Flat predecode: concatenate the blocks into one contiguous
-    // stream, fold each instruction's charge-plan entries into its
-    // record, and rewrite Jump/Branch targets to flat indices.
+    // stream, stamp each record with its static cost, and rewrite
+    // Jump/Branch targets to flat indices.
+    bool dfg = fn.tier == Tier::Dfg;
     fn.flatStart.assign(nblocks, 0);
     size_t total = 0;
     for (size_t bi = 0; bi < nblocks; ++bi) {
@@ -321,8 +212,7 @@ computeChargePlan(IrFunction &fn)
     fn.flat.clear();
     fn.flat.reserve(total);
     for (const IrBlock &block : fn.blocks) {
-        for (size_t i = 0; i < block.instrs.size(); ++i) {
-            const IrInstr &instr = block.instrs[i];
+        for (const IrInstr &instr : block.instrs) {
             ExecInstr e;
             e.op = instr.op;
             e.converted = instr.converted;
@@ -333,8 +223,7 @@ computeChargePlan(IrFunction &fn)
             e.imm = instr.imm;
             e.imm2 = instr.imm2;
             e.smpPc = instr.smpPc;
-            e.ownScaled = block.ownScaled[i];
-            e.chargeFrom = block.chargeFrom[i];
+            e.ownScaled = scaledCost(instr.op, dfg);
             e.spec = opSpecOf(instr.op, instr.imm);
             if (instr.op == IrOp::Jump) {
                 NOMAP_ASSERT(instr.imm < nblocks);
@@ -346,6 +235,19 @@ computeChargePlan(IrFunction &fn)
                 e.imm2 = fn.flatStart[instr.imm2];
             }
             fn.flat.push_back(e);
+        }
+        // Charge segments, summed backward from the block's end. A
+        // tx-boundary op ends its segment: whatever follows executes
+        // under a different transaction state and must be charged
+        // separately (the Tm/NonTm cycle split depends on
+        // inTransaction at charge time).
+        size_t end = fn.flat.size();
+        size_t begin = end - block.instrs.size();
+        for (size_t i = end; i-- > begin;) {
+            ExecInstr &e = fn.flat[i];
+            bool seg_end = isTxBoundaryOp(e.op) || i + 1 == end;
+            e.chargeFrom =
+                e.ownScaled + (seg_end ? 0 : fn.flat[i + 1].chargeFrom);
         }
     }
     fn.chargePlanReady = true;
@@ -427,14 +329,22 @@ IrFunction::verify() const
                          op != IrOp::Return && op != IrOp::ReturnUndef);
         }
     }
-    // preds consistent with succs.
-    std::vector<std::vector<uint32_t>> expected(blocks.size());
-    for (size_t bi = 0; bi < blocks.size(); ++bi) {
-        for (uint32_t succ : blocks[bi].succs)
-            expected[succ].push_back(static_cast<uint32_t>(bi));
-    }
-    for (size_t bi = 0; bi < blocks.size(); ++bi) {
-        NOMAP_ASSERT(expected[bi].size() == blocks[bi].preds.size());
+    // preds consistent with succs: every block has as many preds as
+    // in-edges. The in-edges are counted in fixed windows of target
+    // blocks, so the check needs no heap storage.
+    constexpr size_t kWindow = 256;
+    uint32_t in_edges[kWindow];
+    for (size_t base = 0; base < blocks.size(); base += kWindow) {
+        size_t end = std::min(blocks.size(), base + kWindow);
+        std::fill(in_edges, in_edges + (end - base), 0u);
+        for (const IrBlock &block : blocks) {
+            for (uint32_t succ : block.succs) {
+                if (succ >= base && succ < end)
+                    ++in_edges[succ - base];
+            }
+        }
+        for (size_t bi = base; bi < end; ++bi)
+            NOMAP_ASSERT(in_edges[bi - base] == blocks[bi].preds.size());
     }
 }
 

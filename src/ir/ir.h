@@ -190,25 +190,15 @@ struct IrBlock {
     int32_t loopId = -1;
     /** First bytecode pc this block was built from. */
     uint32_t firstPc = 0;
-
-    /**
-     * Static charge plan for batched accounting, one entry per
-     * instruction (empty until computeChargePlan runs): ownScaled[i]
-     * is instruction i's tier-scaled static cost; chargeFrom[i] is the
-     * summed cost of [i .. end of i's charge segment], where segments
-     * end at transaction-boundary ops (whose successor cost must be
-     * charged under the new transaction state) and at block ends.
-     */
-    std::vector<uint32_t> ownScaled;
-    std::vector<uint32_t> chargeFrom;
 };
 
 /**
  * One predecoded instruction of the flat run format (see
  * IrFunction::flat), which buildJitChain copies record for record
  * into the chain the executor runs. A copy of the IrInstr fields plus
- * the instruction's charge-plan entries, packed into one 32-byte
- * record per op with no per-block indirection. Jump/Branch targets
+ * the instruction's static charge plan for batched accounting,
+ * packed into one 32-byte record per op with no per-block
+ * indirection. Jump/Branch targets
  * are rewritten from block ids to flat indices at predecode time,
  * and `spec` fills the padding after the operands.
  */
@@ -227,9 +217,13 @@ struct ExecInstr {
     uint32_t imm2 = 0;
     /** Bytecode pc of the SMP this check deopts to (kNoSmp if none). */
     uint32_t smpPc = kNoSmp;
-    /** This op's tier-scaled static cost (IrBlock::ownScaled). */
+    /** This op's tier-scaled static cost. */
     uint32_t ownScaled = 0;
-    /** Cost of [this .. charge-segment end] (IrBlock::chargeFrom). */
+    /**
+     * Summed cost of [this .. end of its charge segment]. Segments end
+     * at transaction-boundary ops (whose successor cost must be
+     * charged under the new transaction state) and at block ends.
+     */
     uint32_t chargeFrom = 0;
 };
 static_assert(sizeof(ExecInstr) == 32, "one 32-byte record per op");
@@ -256,8 +250,15 @@ struct IrFunction {
     uint16_t numRegs = 0;
     /** True when NoMap instrumented this function with transactions. */
     bool txAware = false;
-    /** Set once computeChargePlan has filled every block's plan. */
+    /** Set once computeChargePlan has built the flat run format. */
     bool chargePlanReady = false;
+    /**
+     * CFG version: bumped by every edit of the block list or of any
+     * block's succs/preds after buildIr (appendBlock, and the passes
+     * that retarget edges). AnalysisContext (passes/analysis.h)
+     * recomputes RPO, dominators and loops only when it changed.
+     */
+    uint32_t cfgEpoch = 0;
 
     std::vector<IrBlock> blocks;
     std::vector<Value> constants;
@@ -268,7 +269,7 @@ struct IrFunction {
      * Flat run format: every block's instructions predecoded into one
      * contiguous array in block order, with branch targets rewritten
      * to flat indices and the charge plan folded into each record.
-     * Built by computeChargePlan alongside the per-block plan;
+     * Built by computeChargePlan with the charge plan folded in;
      * buildJitChain (src/jit/jit_chain.h) lowers it into the bound
      * continuation-template chain the executor runs instead of the
      * block structure. The chain relies on the plan's structural
@@ -278,6 +279,14 @@ struct IrFunction {
     std::vector<ExecInstr> flat;
     /** flatStart[b] = flat index of block b's first instruction. */
     std::vector<uint32_t> flatStart;
+
+    /** Append an empty block (a CFG edit: bumps cfgEpoch). */
+    IrBlock &
+    appendBlock()
+    {
+        ++cfgEpoch;
+        return blocks.emplace_back();
+    }
 
     /** Allocate a fresh pass temporary register. */
     uint16_t
@@ -306,11 +315,44 @@ struct IrFunction {
 
 // ---- Classification helpers used by passes and executors ---------------
 
-/** True for the Check* family. */
-inline bool
-isCheckOp(IrOp op)
+/** Classification bits of an IR op (see kIrOpFlags). */
+enum IrOpFlag : uint8_t {
+    kOpCheck = 1 << 0,      ///< The Check* family.
+    kOpPure = 1 << 1,       ///< Pure, speculation-free value op.
+    kOpOpaqueCall = 1 << 2, ///< Call/generic op touching any state.
+    kOpDefinesDst = 1 << 3, ///< Writes register `dst`.
+};
+
+/** The IrOpFlag bits of @p op (the source of kIrOpFlags). */
+constexpr uint8_t
+irOpFlagsOf(IrOp op)
 {
     switch (op) {
+      case IrOp::Const:
+      case IrOp::Move:
+      case IrOp::AddInt:
+      case IrOp::SubInt:
+      case IrOp::MulInt:
+      case IrOp::NegInt:
+      case IrOp::AddDouble:
+      case IrOp::SubDouble:
+      case IrOp::MulDouble:
+      case IrOp::DivDouble:
+      case IrOp::ModDouble:
+      case IrOp::NegDouble:
+      case IrOp::BitAndInt:
+      case IrOp::BitOrInt:
+      case IrOp::BitXorInt:
+      case IrOp::ShlInt:
+      case IrOp::ShrInt:
+      case IrOp::UShrInt:
+      case IrOp::BitNotInt:
+      case IrOp::CmpInt:
+      case IrOp::CmpDouble:
+      case IrOp::ToDouble:
+      case IrOp::ToBoolean:
+      case IrOp::NotBool:
+        return kOpPure | kOpDefinesDst;
       case IrOp::CheckInt32:
       case IrOp::CheckNumber:
       case IrOp::CheckShape:
@@ -320,29 +362,58 @@ isCheckOp(IrOp op)
       case IrOp::CheckBoundsRange:
       case IrOp::CheckOverflow:
       case IrOp::CheckNotHole:
-        return true;
+        return kOpCheck;
+      case IrOp::GetSlot:
+      case IrOp::GetArrayLen:
+      case IrOp::GetElem:
+      case IrOp::LoadGlobal:
+      case IrOp::Intrinsic:
+        return kOpDefinesDst;
+      case IrOp::GenericBinary:
+      case IrOp::GenericUnary:
+      case IrOp::GenericGetProp:
+      case IrOp::GenericGetIndex:
+      case IrOp::NewArray:
+      case IrOp::NewObject:
+      case IrOp::Call:
+      case IrOp::CallNative:
+      case IrOp::CallMethod:
+        return kOpOpaqueCall | kOpDefinesDst;
+      case IrOp::GenericSetProp:
+      case IrOp::GenericSetIndex:
+        return kOpOpaqueCall;
       default:
-        return false;
+        return 0;
     }
 }
+
+/** Per-op IrOpFlag bits, generated from NOMAP_IR_OP_LIST. */
+inline constexpr uint8_t kIrOpFlags[kNumIrOps] = {
+#define NOMAP_IR_OP_FLAGS(name) irOpFlagsOf(IrOp::name),
+    NOMAP_IR_OP_LIST(NOMAP_IR_OP_FLAGS)
+#undef NOMAP_IR_OP_FLAGS
+};
+
+inline bool
+hasOpFlag(IrOp op, uint8_t flag)
+{
+    return (kIrOpFlags[static_cast<size_t>(op)] & flag) != 0;
+}
+
+/** True for the Check* family. */
+inline bool isCheckOp(IrOp op) { return hasOpFlag(op, kOpCheck); }
 
 /** Figure-3 category of a check op (asserts on non-check ops). */
 CheckKind checkKindOf(IrOp op);
 
-/** True if the op reads heap/global memory. */
-bool readsMemory(IrOp op);
-
-/** True if the op writes heap/global memory. */
-bool writesMemory(IrOp op);
-
 /** True for calls and generic ops that may touch arbitrary state. */
-bool isOpaqueCall(IrOp op);
+inline bool isOpaqueCall(IrOp op) { return hasOpFlag(op, kOpOpaqueCall); }
 
 /** True for pure, speculation-free value computations. */
-bool isPureValueOp(IrOp op);
+inline bool isPureValueOp(IrOp op) { return hasOpFlag(op, kOpPure); }
 
 /** True if the instruction defines `dst`. */
-bool definesDst(IrOp op);
+inline bool definesDst(IrOp op) { return hasOpFlag(op, kOpDefinesDst); }
 
 /** Printable op name. */
 const char *irOpName(IrOp op);
@@ -359,10 +430,10 @@ isTxBoundaryOp(IrOp op)
 uint32_t irBaseCost(IrOp op);
 
 /**
- * (Re)compute every block's ownScaled/chargeFrom from the instruction
- * stream and the function's tier (DFG scales each op's cost by
- * kDfgFactor before summing, exactly as the executor's per-op mode
- * does), then build the flat predecoded run stream from it. Also
+ * (Re)build the flat predecoded run stream with each record's
+ * ownScaled/chargeFrom computed from the instruction stream and the
+ * function's tier (DFG scales each op's cost by kDfgFactor before
+ * summing, exactly as the executor's per-op mode does). Also
  * performs the one-time structural validation (non-empty terminated
  * blocks, in-range branch targets) that lets the executor hot loop
  * dispatch without per-op bounds checks. The compiler calls this

@@ -183,7 +183,7 @@ writeBytesPerIteration(const IrFunction &fn, const NaturalLoop &loop)
 
 /** Wrap @p loop in a transaction; convert its checks to aborts. */
 void
-wrapLoop(IrFunction &fn, NaturalLoop &loop, uint32_t tile_every,
+wrapLoop(IrFunction &fn, const NaturalLoop &loop, uint32_t tile_every,
          PlanResult &result)
 {
     uint32_t converted_before = result.checksConverted;
@@ -248,15 +248,17 @@ wrapLoop(IrFunction &fn, NaturalLoop &loop, uint32_t tile_every,
 } // namespace
 
 PlanResult
-planTransactions(IrFunction &fn, const FunctionProfile &profile,
+planTransactions(IrFunction &fn, AnalysisContext &ctx,
+                 const FunctionProfile &profile,
                  const PlannerConfig &config)
 {
     PlanResult result;
     if (config.scopeLevel >= 4)
         return result;
 
-    std::vector<uint32_t> idom = computeIdoms(fn);
-    std::vector<NaturalLoop> loops = findLoops(fn, idom);
+    // Wrapping edits the CFG; the plan is made on the loops as they
+    // were before the first wrap.
+    const std::vector<NaturalLoop> &loops = ctx.loops();
 
     // An adaptive override *is* the budget (already safety-scaled
     // from observed abort footprints); otherwise budget = fraction of
@@ -269,7 +271,7 @@ planTransactions(IrFunction &fn, const FunctionProfile &profile,
                   static_cast<double>(config.writeCapacityBytes()));
 
     // Work on top-level nests, outermost first.
-    for (NaturalLoop &nest : loops) {
+    for (const NaturalLoop &nest : loops) {
         if (nest.parentHeader >= 0)
             continue;
         if (nestBlacklisted(fn, nest, loops, config.blacklistPcs)) {
@@ -293,8 +295,8 @@ planTransactions(IrFunction &fn, const FunctionProfile &profile,
 
         // Candidate scopes, largest first: the nest itself, then the
         // innermost hot loop, then a tiled innermost loop.
-        NaturalLoop *innermost = &nest;
-        for (NaturalLoop &cand : loops) {
+        const NaturalLoop *innermost = &nest;
+        for (const NaturalLoop &cand : loops) {
             if (cand.header != nest.header &&
                 nest.contains(cand.header) &&
                 (innermost == &nest ||

@@ -96,11 +96,14 @@ struct PlanResult {
     std::vector<LoopPlan> loops;
 };
 
+class AnalysisContext;
+
 /**
- * Instrument @p fn with transactions. @p profile supplies per-loop
- * trip counts for the footprint estimate.
+ * Instrument @p fn with transactions. @p ctx is the compile's
+ * analysis context (its loops); @p profile supplies per-loop trip
+ * counts for the footprint estimate.
  */
-PlanResult planTransactions(IrFunction &fn,
+PlanResult planTransactions(IrFunction &fn, AnalysisContext &ctx,
                             const FunctionProfile &profile,
                             const PlannerConfig &config);
 

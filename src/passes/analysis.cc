@@ -6,19 +6,33 @@
 
 namespace nomap {
 
-int32_t
-defOf(const IrInstr &instr)
+bool
+dominates(const std::vector<uint32_t> &idom, uint32_t a, uint32_t b)
 {
-    return definesDst(instr.op) ? static_cast<int32_t>(instr.dst) : -1;
+    if (idom[b] == UINT32_MAX)
+        return false;
+    uint32_t cur = b;
+    for (;;) {
+        if (cur == a)
+            return true;
+        if (cur == 0)
+            return a == 0;
+        cur = idom[cur];
+    }
 }
 
-std::vector<uint32_t>
-reversePostorder(const IrFunction &fn)
+namespace {
+
+/** Reverse postorder into @p out; @p state and @p stack are scratch. */
+void
+reversePostorder(const IrFunction &fn, std::vector<uint32_t> &out,
+                 std::vector<uint8_t> &state,
+                 std::vector<std::pair<uint32_t, size_t>> &stack)
 {
-    std::vector<uint8_t> state(fn.blocks.size(), 0);
-    std::vector<uint32_t> postorder;
+    state.assign(fn.blocks.size(), 0);
+    out.clear();
     // Iterative DFS.
-    std::vector<std::pair<uint32_t, size_t>> stack;
+    stack.clear();
     stack.emplace_back(0, 0);
     state[0] = 1;
     while (!stack.empty()) {
@@ -30,23 +44,23 @@ reversePostorder(const IrFunction &fn)
                 stack.emplace_back(succ, 0);
             }
         } else {
-            postorder.push_back(block);
+            out.push_back(block);
             stack.pop_back();
         }
     }
-    std::reverse(postorder.begin(), postorder.end());
-    return postorder;
+    std::reverse(out.begin(), out.end());
 }
 
-std::vector<uint32_t>
-computeIdoms(const IrFunction &fn)
+/** Immediate dominators into @p idom; @p rpo_index is scratch. */
+void
+computeIdoms(const IrFunction &fn, const std::vector<uint32_t> &rpo,
+             std::vector<uint32_t> &idom, std::vector<uint32_t> &rpo_index)
 {
-    std::vector<uint32_t> rpo = reversePostorder(fn);
-    std::vector<uint32_t> rpo_index(fn.blocks.size(), UINT32_MAX);
+    rpo_index.assign(fn.blocks.size(), UINT32_MAX);
     for (size_t i = 0; i < rpo.size(); ++i)
         rpo_index[rpo[i]] = static_cast<uint32_t>(i);
 
-    std::vector<uint32_t> idom(fn.blocks.size(), UINT32_MAX);
+    idom.assign(fn.blocks.size(), UINT32_MAX);
     idom[0] = 0;
 
     auto intersect = [&](uint32_t a, uint32_t b) {
@@ -79,58 +93,65 @@ computeIdoms(const IrFunction &fn)
             }
         }
     }
-    return idom;
 }
 
-bool
-dominates(const std::vector<uint32_t> &idom, uint32_t a, uint32_t b)
-{
-    if (idom[b] == UINT32_MAX)
-        return false;
-    uint32_t cur = b;
-    for (;;) {
-        if (cur == a)
-            return true;
-        if (cur == 0)
-            return a == 0;
-        cur = idom[cur];
-    }
-}
 
-std::vector<NaturalLoop>
-findLoops(const IrFunction &fn, const std::vector<uint32_t> &idom)
+/**
+ * Natural loops into @p loops, reusing its elements' storage; the
+ * remaining vectors are scratch.
+ */
+void
+findLoops(const IrFunction &fn, const std::vector<uint32_t> &idom,
+          std::vector<NaturalLoop> &loops,
+          std::vector<std::pair<uint32_t, uint32_t>> &back_edges,
+          std::vector<uint32_t> &headers, std::vector<uint32_t> &work,
+          std::vector<uint8_t> &in_loop)
 {
-    std::vector<NaturalLoop> loops;
-
-    // Collect back edges grouped by header.
-    std::vector<std::vector<uint32_t>> latches_of(fn.blocks.size());
+    // Collect back edges (header, latch), latches ascending.
+    back_edges.clear();
+    headers.clear();
     for (uint32_t b = 0; b < fn.blocks.size(); ++b) {
         if (idom[b] == UINT32_MAX && b != 0)
             continue; // Unreachable.
         for (uint32_t succ : fn.blocks[b].succs) {
-            if (dominates(idom, succ, b))
-                latches_of[succ].push_back(b);
+            if (dominates(idom, succ, b)) {
+                back_edges.emplace_back(succ, b);
+                if (std::find(headers.begin(), headers.end(), succ) ==
+                    headers.end()) {
+                    headers.push_back(succ);
+                }
+            }
         }
     }
+    std::sort(headers.begin(), headers.end());
 
-    for (uint32_t header = 0; header < fn.blocks.size(); ++header) {
-        if (latches_of[header].empty())
-            continue;
-        NaturalLoop loop;
+    // One loop per header, in header order.
+    loops.resize(headers.size());
+    for (size_t li = 0; li < headers.size(); ++li) {
+        uint32_t header = headers[li];
+        NaturalLoop &loop = loops[li];
         loop.header = header;
-        loop.latches = latches_of[header];
+        loop.latches.clear();
+        for (const auto &[h, latch] : back_edges) {
+            if (h == header)
+                loop.latches.push_back(latch);
+        }
         loop.loopId = fn.blocks[header].loopId;
+        loop.parentHeader = -1;
+        loop.blocks.clear();
+        loop.exitingBlocks.clear();
+        loop.exitTargets.clear();
 
         // Standard natural-loop body discovery.
-        std::vector<bool> in_loop(fn.blocks.size(), false);
-        in_loop[header] = true;
-        std::vector<uint32_t> work = loop.latches;
+        in_loop.assign(fn.blocks.size(), 0);
+        in_loop[header] = 1;
+        work = loop.latches;
         while (!work.empty()) {
             uint32_t b = work.back();
             work.pop_back();
             if (in_loop[b])
                 continue;
-            in_loop[b] = true;
+            in_loop[b] = 1;
             for (uint32_t pred : fn.blocks[b].preds)
                 if (!in_loop[pred])
                     work.push_back(pred);
@@ -154,7 +175,6 @@ findLoops(const IrFunction &fn, const std::vector<uint32_t> &idom)
             if (exits)
                 loop.exitingBlocks.push_back(b);
         }
-        loops.push_back(std::move(loop));
     }
 
     // Parent relations: smallest strictly-containing loop.
@@ -180,8 +200,9 @@ findLoops(const IrFunction &fn, const std::vector<uint32_t> &idom)
               [](const NaturalLoop &a, const NaturalLoop &b) {
                   return a.blocks.size() > b.blocks.size();
               });
-    return loops;
 }
+
+} // namespace
 
 uint32_t
 ensurePreheader(IrFunction &fn, const NaturalLoop &loop)
@@ -205,8 +226,7 @@ ensurePreheader(IrFunction &fn, const NaturalLoop &loop)
     // Create a fresh preheader block jumping to the header and
     // retarget every outside edge to it.
     uint32_t ph = static_cast<uint32_t>(fn.blocks.size());
-    fn.blocks.emplace_back();
-    IrBlock &phb = fn.blocks.back();
+    IrBlock &phb = fn.appendBlock();
     phb.firstPc = fn.blocks[loop.header].firstPc;
     IrInstr jump;
     jump.op = IrOp::Jump;
@@ -241,7 +261,7 @@ ensurePreheader(IrFunction &fn, const NaturalLoop &loop)
 }
 
 std::vector<uint32_t>
-ensureDedicatedExits(IrFunction &fn, NaturalLoop &loop)
+ensureDedicatedExits(IrFunction &fn, const NaturalLoop &loop)
 {
     std::vector<uint32_t> trampolines;
     for (uint32_t exiting : loop.exitingBlocks) {
@@ -251,8 +271,7 @@ ensureDedicatedExits(IrFunction &fn, NaturalLoop &loop)
             if (loop.contains(target))
                 continue;
             uint32_t tramp = static_cast<uint32_t>(fn.blocks.size());
-            fn.blocks.emplace_back();
-            IrBlock &tb = fn.blocks.back();
+            IrBlock &tb = fn.appendBlock();
             tb.firstPc = fn.blocks[target].firstPc;
             IrInstr jump;
             jump.op = IrOp::Jump;
@@ -284,7 +303,6 @@ ensureDedicatedExits(IrFunction &fn, NaturalLoop &loop)
             trampolines.push_back(tramp);
         }
     }
-    loop.exitTargets = trampolines;
     return trampolines;
 }
 
@@ -312,78 +330,125 @@ loopHasOpaqueOps(const IrFunction &fn, const NaturalLoop &loop)
     return false;
 }
 
-std::vector<bool>
-regsDefinedInLoop(const IrFunction &fn, const NaturalLoop &loop)
+void
+regsDefinedInLoop(const IrFunction &fn, const NaturalLoop &loop,
+                  std::vector<uint8_t> &defined)
 {
-    std::vector<bool> defined(fn.numRegs, false);
+    defined.assign(fn.numRegs, 0);
     for (uint32_t b : loop.blocks) {
         for (const IrInstr &instr : fn.blocks[b].instrs) {
             int32_t def = defOf(instr);
             if (def >= 0)
-                defined[static_cast<size_t>(def)] = true;
+                defined[static_cast<size_t>(def)] = 1;
         }
     }
-    return defined;
 }
 
 void
 RegSet::setFirst(size_t count)
 {
     size_t full = count / 64;
-    for (size_t w = 0; w < full; ++w)
-        words[w] = ~uint64_t{0};
+    for (size_t i = 0; i < full; ++i)
+        w[i] = ~uint64_t{0};
     if (count % 64)
-        words[full] |= (uint64_t{1} << (count % 64)) - 1;
+        w[full] |= (uint64_t{1} << (count % 64)) - 1;
 }
 
 bool
 RegSet::unionWith(const RegSet &other)
 {
     uint64_t added = 0;
-    for (size_t w = 0; w < words.size(); ++w) {
-        added |= other.words[w] & ~words[w];
-        words[w] |= other.words[w];
+    for (size_t i = 0; i < n; ++i) {
+        added |= other.w[i] & ~w[i];
+        w[i] |= other.w[i];
     }
     return added != 0;
 }
 
 void
-stepLiveness(const IrFunction &fn, const IrInstr &instr, RegSet &live)
-{
-    int32_t def = defOf(instr);
-    if (def >= 0)
-        live.reset(static_cast<size_t>(def));
-    bool opaque_smp = instr.isCheck() && !instr.converted;
-    if (!instr.isCheck() || opaque_smp)
-        forEachUse(instr, [&](uint16_t reg) { live.set(reg); });
-    if (opaque_smp || instr.op == IrOp::TxBegin ||
-        instr.op == IrOp::TxTile) {
-        live.setFirst(fn.bytecodeRegs);
-    }
-}
-
-Liveness
-computeLiveness(const IrFunction &fn)
+computeLiveness(const IrFunction &fn, Liveness &result)
 {
     size_t nblocks = fn.blocks.size();
-    Liveness result;
-    result.liveOut.assign(nblocks, RegSet(fn.numRegs));
-    result.liveIn.assign(nblocks, RegSet(fn.numRegs));
+    size_t words = regSetWords(fn.numRegs);
+    result.words = words;
+    result.genRows.resize(nblocks * words);
+    result.killRows.resize(nblocks * words);
+    for (size_t bi = 0; bi < nblocks; ++bi)
+        result.summarize(fn, bi);
+    result.solve(fn);
+}
+
+void
+Liveness::summarize(const IrFunction &fn, size_t block)
+{
+    RegSet g = gen(block);
+    RegSet k = kill(block);
+    g.clear();
+    k.clear();
+    const std::vector<IrInstr> &instrs = fn.blocks[block].instrs;
+    for (size_t ii = instrs.size(); ii-- > 0;)
+        stepSummary(fn, instrs[ii], g, k);
+}
+
+void
+Liveness::solve(const IrFunction &fn)
+{
+    size_t nblocks = fn.blocks.size();
+    in.assign(nblocks * words, 0);
+    out.assign(nblocks * words, 0);
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t bi = nblocks; bi-- > 0;) {
-            // Same-size assignments: the sets' storage is reused.
-            RegSet &live = result.liveIn[bi];
-            live = result.liveOut[bi];
-            const std::vector<IrInstr> &instrs = fn.blocks[bi].instrs;
-            for (size_t ii = instrs.size(); ii-- > 0;)
-                stepLiveness(fn, instrs[ii], live);
+            const uint64_t *g = genRows.data() + bi * words;
+            const uint64_t *k = killRows.data() + bi * words;
+            const uint64_t *o = out.data() + bi * words;
+            uint64_t *i = in.data() + bi * words;
+            for (size_t w = 0; w < words; ++w)
+                i[w] = g[w] | (o[w] & ~k[w]);
+            RegSet live = liveIn(bi);
             for (uint32_t pred : fn.blocks[bi].preds)
-                changed |= result.liveOut[pred].unionWith(live);
+                changed |= liveOut(pred).unionWith(live);
         }
     }
-    return result;
+}
+
+const std::vector<uint32_t> &
+AnalysisContext::rpo()
+{
+    if (rpoEpoch != fn.cfgEpoch) {
+        reversePostorder(fn, rpoCache, scratchFlags, dfsStack);
+        rpoEpoch = fn.cfgEpoch;
+    }
+    return rpoCache;
+}
+
+const std::vector<uint32_t> &
+AnalysisContext::idoms()
+{
+    if (idomEpoch != fn.cfgEpoch) {
+        computeIdoms(fn, rpo(), idomCache, scratchIndex);
+        idomEpoch = fn.cfgEpoch;
+    }
+    return idomCache;
+}
+
+const std::vector<NaturalLoop> &
+AnalysisContext::loops()
+{
+    if (loopsEpoch != fn.cfgEpoch) {
+        findLoops(fn, idoms(), loopsCache, backEdges, scratchIndex,
+                  scratchWork, scratchFlags);
+        loopsEpoch = fn.cfgEpoch;
+    }
+    return loopsCache;
+}
+
+Liveness &
+AnalysisContext::liveness()
+{
+    computeLiveness(fn, live);
+    return live;
 }
 
 } // namespace nomap

@@ -4,12 +4,14 @@
 /**
  * @file
  * Shared CFG analyses: register uses/defs, liveness, reverse
- * postorder, dominators, and natural-loop discovery. All passes and
- * the NoMap transaction planner are built on these.
+ * postorder, dominators, and natural-loop discovery, and the
+ * per-compile AnalysisContext that caches them. All passes and the
+ * NoMap transaction planner are built on these.
  */
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ir/ir.h"
@@ -111,16 +113,11 @@ forEachUse(const IrInstr &instr, F &&f)
 }
 
 /** Register written, or -1. */
-int32_t defOf(const IrInstr &instr);
-
-/** Reverse postorder over reachable blocks from block 0. */
-std::vector<uint32_t> reversePostorder(const IrFunction &fn);
-
-/**
- * Immediate dominators (classic iterative algorithm).
- * idom[0] == 0; unreachable blocks get idom == UINT32_MAX.
- */
-std::vector<uint32_t> computeIdoms(const IrFunction &fn);
+inline int32_t
+defOf(const IrInstr &instr)
+{
+    return definesDst(instr.op) ? static_cast<int32_t>(instr.dst) : -1;
+}
 
 /** True if @p a dominates @p b under @p idom. */
 bool dominates(const std::vector<uint32_t> &idom, uint32_t a, uint32_t b);
@@ -153,17 +150,10 @@ struct NaturalLoop {
 };
 
 /**
- * Find all natural loops (one per header; back edges to the same
- * header are merged). Sorted outermost-first by block count.
- */
-std::vector<NaturalLoop> findLoops(const IrFunction &fn,
-                                   const std::vector<uint32_t> &idom);
-
-/**
  * Guarantee a dedicated preheader: a block whose single successor is
  * the loop header and which is the only non-latch predecessor of the
- * header. May append a new block to the function (invalidating loop
- * analyses — callers re-run findLoops afterwards if needed).
+ * header. May append a new block to the function (a CFG edit: it
+ * bumps IrFunction::cfgEpoch).
  *
  * @return The preheader block index.
  */
@@ -173,11 +163,12 @@ uint32_t ensurePreheader(IrFunction &fn, const NaturalLoop &loop);
  * Split every loop-exit edge so each exit target reached from the
  * loop is a dedicated trampoline block with only in-loop
  * predecessors (a safe place for sunk stores and combined bounds
- * checks). Returns the trampoline block for each exiting edge.
- * Invalidates dominator/loop analyses.
+ * checks). Returns the trampoline block for each exiting edge, in
+ * order; @p loop's exitTargets are stale afterwards. Bumps
+ * IrFunction::cfgEpoch when it splits an edge.
  */
 std::vector<uint32_t> ensureDedicatedExits(IrFunction &fn,
-                                           NaturalLoop &loop);
+                                           const NaturalLoop &loop);
 
 /** True if any instruction in the loop is an un-converted SMP check. */
 bool loopHasUnconvertedSmp(const IrFunction &fn, const NaturalLoop &loop);
@@ -185,41 +176,68 @@ bool loopHasUnconvertedSmp(const IrFunction &fn, const NaturalLoop &loop);
 /** True if the loop contains calls or generic (opaque) operations. */
 bool loopHasOpaqueOps(const IrFunction &fn, const NaturalLoop &loop);
 
-/** Registers defined anywhere inside the loop. */
-std::vector<bool> regsDefinedInLoop(const IrFunction &fn,
-                                    const NaturalLoop &loop);
+/**
+ * Flag the registers defined anywhere inside the loop:
+ * @p defined[r] becomes 1 for each, 0 for the rest of [0, numRegs).
+ */
+void regsDefinedInLoop(const IrFunction &fn, const NaturalLoop &loop,
+                       std::vector<uint8_t> &defined);
+
+/** 64-bit words needed for a set of @p regs registers. */
+inline size_t
+regSetWords(size_t regs)
+{
+    return (regs + 63) / 64;
+}
 
 /**
- * A fixed-size register set stored as 64-bit words, so the liveness
- * fixpoint copies and unions 64 registers at a time.
+ * A register set over caller-owned 64-bit words (see regSetWords), so
+ * the liveness fixpoint copies and unions 64 registers at a time and
+ * its rows live in one flat, reused array.
  */
 class RegSet
 {
   public:
-    explicit RegSet(size_t regs) : words((regs + 63) / 64, 0) {}
+    RegSet(uint64_t *words, size_t nwords) : w(words), n(nwords) {}
 
     bool
     test(size_t reg) const
     {
-        return (words[reg / 64] >> (reg % 64)) & 1;
+        return (w[reg / 64] >> (reg % 64)) & 1;
     }
 
-    void set(size_t reg) { words[reg / 64] |= uint64_t{1} << (reg % 64); }
+    void set(size_t reg) { w[reg / 64] |= uint64_t{1} << (reg % 64); }
 
     void
     reset(size_t reg)
     {
-        words[reg / 64] &= ~(uint64_t{1} << (reg % 64));
+        w[reg / 64] &= ~(uint64_t{1} << (reg % 64));
     }
 
     /** Add registers [0, count). */
     void setFirst(size_t count);
 
+    void
+    clear()
+    {
+        for (size_t i = 0; i < n; ++i)
+            w[i] = 0;
+    }
+
+    /** Become a copy of @p other (same size). */
+    void
+    assign(const RegSet &other)
+    {
+        for (size_t i = 0; i < n; ++i)
+            w[i] = other.w[i];
+    }
+
     /** Add every register of @p other; true if that added any. */
     bool unionWith(const RegSet &other);
 
   private:
-    std::vector<uint64_t> words;
+    uint64_t *w;
+    size_t n;
 };
 
 /**
@@ -230,20 +248,161 @@ class RegSet
  * baseline frame alive, since a deopt or transaction snapshot must
  * be able to rebuild it.
  */
-void stepLiveness(const IrFunction &fn, const IrInstr &instr,
-                  RegSet &live);
+inline void
+stepLiveness(const IrFunction &fn, const IrInstr &instr, RegSet live)
+{
+    int32_t def = defOf(instr);
+    if (def >= 0)
+        live.reset(static_cast<size_t>(def));
+    bool opaque_smp = instr.isCheck() && !instr.converted;
+    if (!instr.isCheck() || opaque_smp)
+        forEachUse(instr, [&](uint16_t reg) { live.set(reg); });
+    if (opaque_smp || instr.op == IrOp::TxBegin ||
+        instr.op == IrOp::TxTile) {
+        live.setFirst(fn.bytecodeRegs);
+    }
+}
 
-/** Per-block register liveness, indexed by block. */
-struct Liveness {
-    std::vector<RegSet> liveIn;
-    std::vector<RegSet> liveOut;
+/**
+ * Per-block register liveness: flat arrays of RegSet rows. Each
+ * block's transfer is summarized as one gen/kill pair
+ * (live-in = gen | (live-out & ~kill)), so solving iterates on words,
+ * not instructions.
+ */
+class Liveness
+{
+  public:
+    RegSet liveIn(size_t block) { return row(in, block); }
+    RegSet liveOut(size_t block) { return row(out, block); }
+    RegSet gen(size_t block) { return row(genRows, block); }
+    RegSet kill(size_t block) { return row(killRows, block); }
+
+    /** Rebuild block @p block's gen/kill from its instructions. */
+    void summarize(const IrFunction &fn, size_t block);
+
+    /**
+     * Solve live-in/live-out to fixpoint from the current gen/kill
+     * rows (a pass that edits some blocks re-summarizes just those,
+     * then calls this instead of recomputing every summary).
+     */
+    void solve(const IrFunction &fn);
+
+  private:
+    friend void computeLiveness(const IrFunction &fn, Liveness &result);
+
+    RegSet
+    row(std::vector<uint64_t> &rows, size_t block)
+    {
+        return RegSet(rows.data() + block * words, words);
+    }
+
+    size_t words = 0;
+    std::vector<uint64_t> in;
+    std::vector<uint64_t> out;
+    std::vector<uint64_t> genRows;
+    std::vector<uint64_t> killRows;
 };
 
 /**
- * Backward liveness to fixpoint under stepLiveness's rules. The one
- * liveness analysis DCE, loop DCE and empty-loop elimination share.
+ * Backward liveness to fixpoint under stepLiveness's rules, into
+ * @p result's reused rows. The one liveness analysis DCE, loop DCE
+ * and empty-loop elimination share (through
+ * AnalysisContext::liveness()).
  */
-Liveness computeLiveness(const IrFunction &fn);
+void computeLiveness(const IrFunction &fn, Liveness &result);
+
+/**
+ * Step a block summary backward over @p instr: @p gen and @p kill
+ * describing the instructions after it become the summary including
+ * it (for f(x) = (x & ~kill) | gen and the step s(y) =
+ * (y & ~def) | uses, s(f(x)) = (x & ~(kill | def)) | s(gen)).
+ */
+inline void
+stepSummary(const IrFunction &fn, const IrInstr &instr, RegSet gen,
+            RegSet kill)
+{
+    stepLiveness(fn, instr, gen);
+    int32_t def = defOf(instr);
+    if (def >= 0)
+        kill.set(static_cast<size_t>(def));
+}
+
+/**
+ * The per-compile analysis context. compileFunction creates one for
+ * the function it compiles and hands it to the planner and to every
+ * pass; it dies with the compile, so installed IR carries nothing of
+ * it.
+ *
+ * It caches reverse postorder, immediate dominators and natural loops
+ * keyed by IrFunction::cfgEpoch: a query recomputes an analysis only
+ * when the epoch moved since it was cached. Every CFG edit must
+ * therefore bump the epoch (IrFunction::appendBlock and the edge
+ * editors in this file do). A returned reference stays valid and
+ * unchanged until the next query of the same analysis, so a pass may
+ * keep iterating a loop list while it edits the CFG, and queries
+ * again when it wants the analysis of the edited CFG.
+ *
+ * It also owns the scratch storage the passes reuse, so that no
+ * per-block or per-instruction path of a pass allocates: liveness
+ * rows, and the word, index and byte buffers below, which a pass
+ * sizes with assign()/resize() (reusing capacity) and which hold
+ * nothing from one pass to the next.
+ */
+class AnalysisContext
+{
+  public:
+    explicit AnalysisContext(const IrFunction &fn) : fn(fn) {}
+
+    AnalysisContext(const AnalysisContext &) = delete;
+    AnalysisContext &operator=(const AnalysisContext &) = delete;
+
+    /** Reverse postorder over reachable blocks from block 0. */
+    const std::vector<uint32_t> &rpo();
+
+    /**
+     * Immediate dominators (classic iterative algorithm). idom[0] == 0;
+     * unreachable blocks get idom == UINT32_MAX.
+     */
+    const std::vector<uint32_t> &idoms();
+
+    /**
+     * All natural loops (one per header; back edges to the same
+     * header are merged), sorted outermost-first by block count.
+     */
+    const std::vector<NaturalLoop> &loops();
+
+    /**
+     * Liveness of the function's current instructions. Always
+     * recomputed (instruction edits do not bump the CFG epoch); the
+     * rows are reused, and valid until the next call.
+     */
+    Liveness &liveness();
+
+    /** Scratch: bitset rows and masks, sort keys. */
+    std::vector<uint64_t> words[3];
+    /** Scratch: per-instruction ids, offsets, register maps. */
+    std::vector<uint32_t> indices[3];
+    /** Scratch: per-register and per-block state and flags. */
+    std::vector<uint8_t> bytes[3];
+
+  private:
+    static constexpr uint64_t kNone = ~uint64_t{0};
+
+    const IrFunction &fn;
+    uint64_t rpoEpoch = kNone;
+    uint64_t idomEpoch = kNone;
+    uint64_t loopsEpoch = kNone;
+    std::vector<uint32_t> rpoCache;
+    std::vector<uint32_t> idomCache;
+    std::vector<NaturalLoop> loopsCache;
+    Liveness live;
+    // Storage the recomputations reuse.
+    std::vector<std::pair<uint32_t, size_t>> dfsStack;
+    std::vector<std::pair<uint32_t, uint32_t>> backEdges;
+    std::vector<uint32_t> scratchIndex;
+    std::vector<uint32_t> scratchWork;
+    std::vector<uint8_t> scratchFlags;
+};
 
 } // namespace nomap
 

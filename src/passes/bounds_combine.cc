@@ -162,6 +162,7 @@ detectInduction(const IrFunction &fn, const NaturalLoop &loop,
  */
 bool
 headerExitOnInduction(const IrFunction &fn, const NaturalLoop &loop,
+                      const std::vector<uint8_t> &defined,
                       uint16_t induction_reg)
 {
     if (loop.exitingBlocks.size() != 1 ||
@@ -174,7 +175,6 @@ headerExitOnInduction(const IrFunction &fn, const NaturalLoop &loop,
         return false;
     // The compare that reaches the branch must involve the induction
     // variable and an invariant operand.
-    std::vector<bool> defined = regsDefinedInLoop(fn, loop);
     const auto &hinstrs = header.instrs;
     for (size_t i = hinstrs.size() - 1; i-- > 0;) {
         const IrInstr &instr = hinstrs[i];
@@ -197,7 +197,8 @@ headerExitOnInduction(const IrFunction &fn, const NaturalLoop &loop,
 }
 
 void
-combineLoop(IrFunction &fn, NaturalLoop &loop, PassStats &stats)
+combineLoop(IrFunction &fn, AnalysisContext &ctx, const NaturalLoop &loop,
+            PassStats &stats)
 {
     // Collect converted CheckBounds on invariant arrays indexed by a
     // monotonic induction variable.
@@ -211,7 +212,8 @@ combineLoop(IrFunction &fn, NaturalLoop &loop, PassStats &stats)
         }
     }
 
-    std::vector<bool> defined = regsDefinedInLoop(fn, loop);
+    std::vector<uint8_t> &defined = ctx.bytes[0];
+    regsDefinedInLoop(fn, loop, defined);
     struct Target {
         uint16_t arrReg;
         Induction ind;
@@ -233,7 +235,7 @@ combineLoop(IrFunction &fn, NaturalLoop &loop, PassStats &stats)
             Induction ind;
             if (!detectInduction(fn, loop, idx, &ind))
                 continue;
-            if (!headerExitOnInduction(fn, loop, ind.reg))
+            if (!headerExitOnInduction(fn, loop, defined, ind.reg))
                 continue;
             bool seen = false;
             for (const Target &t : targets) {
@@ -261,27 +263,29 @@ combineLoop(IrFunction &fn, NaturalLoop &loop, PassStats &stats)
             ph.instrs.insert(ph.instrs.end() - 1, snap);
         }
 
-        // Remove the per-iteration checks for this (array, index).
+        // Remove the per-iteration checks for this (array, index),
+        // compacting in place. A removed check defines no register, so
+        // resolving copies at the compacted position `kept` sees the
+        // same defs as at the original position i would.
         uint32_t removed = 0;
         uint32_t smp_pc = kNoSmp;
         for (uint32_t b : loop.blocks) {
             auto &instrs = fn.blocks[b].instrs;
-            std::vector<IrInstr> kept;
-            kept.reserve(instrs.size());
+            size_t kept = 0;
             for (size_t i = 0; i < instrs.size(); ++i) {
                 const IrInstr &instr = instrs[i];
                 if (instr.op == IrOp::CheckBounds && instr.converted &&
-                    resolveCopyAt(fn, b, i, instr.a) ==
+                    resolveCopyAt(fn, b, kept, instr.a) ==
                         target.arrReg &&
-                    resolveCopyAt(fn, b, i, instr.b) ==
+                    resolveCopyAt(fn, b, kept, instr.b) ==
                         target.ind.reg) {
                     ++removed;
                     smp_pc = instr.smpPc;
                     continue;
                 }
-                kept.push_back(instr);
+                instrs[kept++] = instr;
             }
-            instrs = std::move(kept);
+            instrs.resize(kept);
         }
         if (removed == 0)
             continue;
@@ -325,19 +329,20 @@ combineLoop(IrFunction &fn, NaturalLoop &loop, PassStats &stats)
 } // namespace
 
 void
-runBoundsCombine(IrFunction &fn, PassStats &stats)
+runBoundsCombine(IrFunction &fn, AnalysisContext &ctx, PassStats &stats)
 {
     if (fn.txRegions.empty())
         return;
-    std::vector<uint32_t> idom = computeIdoms(fn);
-    std::vector<NaturalLoop> loops = findLoops(fn, idom);
-    // Innermost first; re-derive analyses after each mutation.
-    for (auto it = loops.rbegin(); it != loops.rend(); ++it) {
-        std::vector<uint32_t> idom2 = computeIdoms(fn);
-        std::vector<NaturalLoop> fresh = findLoops(fn, idom2);
-        for (NaturalLoop &cand : fresh) {
-            if (cand.header == it->header) {
-                combineLoop(fn, cand, stats);
+    // Innermost first, each loop as the analysis of the CFG its
+    // predecessors' edits left (combining splits exits).
+    std::vector<uint32_t> &headers = ctx.indices[0];
+    headers.clear();
+    for (const NaturalLoop &loop : ctx.loops())
+        headers.push_back(loop.header);
+    for (size_t h = headers.size(); h-- > 0;) {
+        for (const NaturalLoop &cand : ctx.loops()) {
+            if (cand.header == headers[h]) {
+                combineLoop(fn, ctx, cand, stats);
                 break;
             }
         }

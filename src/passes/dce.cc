@@ -44,19 +44,28 @@ hasSideEffects(const IrInstr &instr)
     }
 }
 
-void
-runDceOnce(IrFunction &fn, PassStats &stats)
+/**
+ * One sweep under @p liveness. Each block is walked backward and
+ * compacted in place (survivors are written from its end toward its
+ * start); @p edited flags the blocks that lost instructions. Returns
+ * whether a removed op read a register: only then can the removal
+ * have made more ops dead (a removed op's def was dead, and converted
+ * checks' uses never count), so only then is another round needed.
+ */
+bool
+sweep(IrFunction &fn, AnalysisContext &ctx, Liveness &liveness,
+      std::vector<uint8_t> &edited, PassStats &stats)
 {
-    Liveness liveness = computeLiveness(fn);
-
-    // Sweep: delete pure ops and loads whose result is dead, and
-    // converted checks whose guarded registers are all dead.
-    RegSet live(fn.numRegs);
-    std::vector<bool> keep;
+    // Delete pure ops and loads whose result is dead, and converted
+    // checks whose guarded registers are all dead.
+    std::vector<uint64_t> &words = ctx.words[0];
+    words.assign(regSetWords(fn.numRegs), 0);
+    RegSet live(words.data(), words.size());
+    bool freed_uses = false;
     for (size_t bi = 0; bi < fn.blocks.size(); ++bi) {
         std::vector<IrInstr> &instrs = fn.blocks[bi].instrs;
-        live = liveness.liveOut[bi];
-        keep.assign(instrs.size(), true);
+        live.assign(liveness.liveOut(bi));
+        size_t kept_from = instrs.size();
         for (size_t ii = instrs.size(); ii-- > 0;) {
             const IrInstr &instr = instrs[ii];
             bool removable = false;
@@ -76,35 +85,38 @@ runDceOnce(IrFunction &fn, PassStats &stats)
                 removable = any_use && !any_live;
             }
             if (removable) {
-                keep[ii] = false;
                 ++stats.deadOpsRemoved;
+                if (!instr.isCheck())
+                    forEachUse(instr, [&](uint16_t) { freed_uses = true; });
                 continue;
             }
             stepLiveness(fn, instr, live);
+            instrs[--kept_from] = instr;
         }
-        size_t kept = 0;
-        for (size_t ii = 0; ii < instrs.size(); ++ii) {
-            if (keep[ii])
-                instrs[kept++] = instrs[ii];
-        }
-        instrs.resize(kept);
-        // Compiled IR lives as long as its function: drop the slack the
-        // appends of IR construction left (a no-op once it is tight).
-        instrs.shrink_to_fit();
+        edited[bi] = kept_from != 0;
+        instrs.erase(instrs.begin(),
+                     instrs.begin() + static_cast<ptrdiff_t>(kept_from));
     }
+    return freed_uses;
 }
 
 } // namespace
 
 void
-runDce(IrFunction &fn, PassStats &stats)
+runDce(IrFunction &fn, AnalysisContext &ctx, PassStats &stats)
 {
-    // Removing one dead op can make its operands dead; iterate.
-    uint32_t before;
-    do {
-        before = stats.deadOpsRemoved;
-        runDceOnce(fn, stats);
-    } while (stats.deadOpsRemoved != before);
+    // Removing one dead op can make its operands dead; iterate. Only
+    // the blocks a sweep edited need new summaries before re-solving.
+    Liveness &liveness = ctx.liveness();
+    std::vector<uint8_t> &edited = ctx.bytes[0];
+    edited.resize(fn.blocks.size());
+    while (sweep(fn, ctx, liveness, edited, stats)) {
+        for (size_t bi = 0; bi < fn.blocks.size(); ++bi) {
+            if (edited[bi])
+                liveness.summarize(fn, bi);
+        }
+        liveness.solve(fn);
+    }
 }
 
 } // namespace nomap

@@ -1,5 +1,7 @@
 #include "passes/passes.h"
 
+#include <algorithm>
+
 #include "passes/analysis.h"
 
 namespace nomap {
@@ -41,12 +43,9 @@ isPlumbing(const IrInstr &instr)
 } // namespace
 
 void
-runEmptyLoopElim(IrFunction &fn, PassStats &stats)
+runEmptyLoopElim(IrFunction &fn, AnalysisContext &ctx, PassStats &stats)
 {
-    std::vector<uint32_t> idom = computeIdoms(fn);
-    std::vector<NaturalLoop> loops = findLoops(fn, idom);
-
-    for (NaturalLoop &loop : loops) {
+    for (const NaturalLoop &loop : ctx.loops()) {
         // Only single-exit loops exiting from the header.
         if (loop.exitingBlocks.size() != 1 ||
             loop.exitingBlocks[0] != loop.header ||
@@ -71,11 +70,12 @@ runEmptyLoopElim(IrFunction &fn, PassStats &stats)
 
         // No register defined inside may be consumed after the loop.
         uint32_t exit_target = loop.exitTargets[0];
-        std::vector<bool> defined = regsDefinedInLoop(fn, loop);
-        Liveness liveness = computeLiveness(fn);
+        std::vector<uint8_t> &defined = ctx.bytes[0];
+        regsDefinedInLoop(fn, loop, defined);
+        RegSet exit_live = ctx.liveness().liveIn(exit_target);
         bool escapes = false;
         for (uint16_t r = 0; r < fn.numRegs; ++r)
-            escapes |= (defined[r] && liveness.liveIn[exit_target].test(r));
+            escapes |= (defined[r] && exit_live.test(r));
         if (escapes)
             continue;
 
@@ -105,12 +105,11 @@ runEmptyLoopElim(IrFunction &fn, PassStats &stats)
         // self-consistent stubs so CFG invariants (succ/pred
         // symmetry) keep holding for verify() and later analyses.
         auto &xpreds = fn.blocks[exit_target].preds;
-        std::vector<uint32_t> kept_preds;
-        for (uint32_t pred : xpreds) {
-            if (!loop.contains(pred))
-                kept_preds.push_back(pred);
-        }
-        xpreds = kept_preds;
+        xpreds.erase(std::remove_if(xpreds.begin(), xpreds.end(),
+                                    [&](uint32_t pred) {
+                                        return loop.contains(pred);
+                                    }),
+                     xpreds.end());
         for (uint32_t b : loop.blocks) {
             IrBlock &dead = fn.blocks[b];
             dead.instrs.clear();
@@ -120,6 +119,7 @@ runEmptyLoopElim(IrFunction &fn, PassStats &stats)
             dead.succs.clear();
             dead.preds.clear();
         }
+        ++fn.cfgEpoch;
         ++stats.emptyLoopsRemoved;
         // Analyses are stale now; one deletion per invocation of the
         // outer fixpoint is fine.

@@ -1,5 +1,7 @@
 #include "passes/passes.h"
 
+#include <algorithm>
+
 #include "passes/analysis.h"
 #include "support/logging.h"
 
@@ -65,10 +67,9 @@ kindOfConstant(Value v)
     return StaticKind::NotHole;
 }
 
-/** Transfer function for one instruction; returns refined state. */
+/** Transfer function for one instruction; refines @p state. */
 void
-transfer(const IrFunction &fn, const IrInstr &instr,
-         std::vector<StaticKind> &state)
+transfer(const IrFunction &fn, const IrInstr &instr, StaticKind *state)
 {
     switch (instr.op) {
       case IrOp::Const:
@@ -143,70 +144,82 @@ transfer(const IrFunction &fn, const IrInstr &instr,
 } // namespace
 
 void
-runKindInference(IrFunction &fn, PassStats &stats)
+runKindInference(IrFunction &fn, AnalysisContext &ctx, PassStats &stats)
 {
     size_t nblocks = fn.blocks.size();
-    std::vector<std::vector<StaticKind>> in(
-        nblocks, std::vector<StaticKind>(fn.numRegs,
-                                         StaticKind::Unknown));
-    std::vector<std::vector<StaticKind>> outs = in;
-    std::vector<bool> visited(nblocks, false);
+    size_t regs = fn.numRegs;
+    // Flat nblocks x numRegs IN and OUT rows, plus one working state
+    // row reused by every block visit: one allocation per run.
+    std::vector<StaticKind> rows((2 * nblocks + 1) * regs,
+                                 StaticKind::Unknown);
+    auto row = [&](size_t i) { return rows.data() + i * regs; };
+    StaticKind *state = row(2 * nblocks);
+    std::vector<uint8_t> &visited = ctx.bytes[0];
+    visited.assign(nblocks, 0);
 
-    std::vector<uint32_t> rpo = reversePostorder(fn);
+    const std::vector<uint32_t> &rpo = ctx.rpo();
     bool changed = true;
     while (changed) {
         changed = false;
         for (uint32_t b : rpo) {
             // Meet over visited predecessors (entry starts Unknown —
-            // params can be anything).
-            std::vector<StaticKind> state(fn.numRegs,
-                                          StaticKind::Unknown);
+            // params can be anything; so does a loop entry with no
+            // visited predecessor yet).
+            std::fill(state, state + regs, StaticKind::Unknown);
             bool first = true;
             if (b != 0) {
                 for (uint32_t pred : fn.blocks[b].preds) {
                     if (!visited[pred])
                         continue;
-                    if (first) {
-                        state = outs[pred];
-                        first = false;
-                    } else {
-                        for (size_t r = 0; r < state.size(); ++r)
-                            state[r] = meet(state[r], outs[pred][r]);
-                    }
-                }
-                if (first) {
-                    // No visited preds yet (loop entry in progress):
-                    // keep Unknown.
+                    const StaticKind *out = row(nblocks + pred);
+                    for (size_t r = 0; r < regs; ++r)
+                        state[r] = first ? out[r] : meet(state[r], out[r]);
+                    first = false;
                 }
             }
-            in[b] = state;
+            // The same IN gives the same OUT: skip the transfer.
+            StaticKind *in = row(b);
+            if (visited[b] && std::equal(state, state + regs, in))
+                continue;
+            std::copy(state, state + regs, in);
             for (const IrInstr &instr : fn.blocks[b].instrs)
                 transfer(fn, instr, state);
-            if (!visited[b] || state != outs[b]) {
-                outs[b] = std::move(state);
-                visited[b] = true;
+            StaticKind *out = row(nblocks + b);
+            if (!visited[b] || !std::equal(state, state + regs, out)) {
+                std::copy(state, state + regs, out);
+                visited[b] = 1;
                 changed = true;
             }
         }
     }
 
-    // Delete checks that the inferred kinds prove.
+    // Delete checks that the inferred kinds prove, compacting each
+    // block in place. Kinds matter only up to a block's last check.
     for (uint32_t b = 0; b < nblocks; ++b) {
-        std::vector<StaticKind> state = in[b];
         auto &instrs = fn.blocks[b].instrs;
-        std::vector<IrInstr> kept;
-        kept.reserve(instrs.size());
-        for (IrInstr &instr : instrs) {
-            bool removable = instr.isCheck() &&
-                             satisfies(state[instr.a], instr.op);
-            transfer(fn, instr, state);
-            if (removable) {
-                ++stats.checksRemovedByKinds;
-            } else {
-                kept.push_back(instr);
+        size_t end = instrs.size();
+        while (end > 0 && !instrs[end - 1].isCheck())
+            --end;
+        if (end == 0)
+            continue;
+        std::copy(row(b), row(b) + regs, state);
+        size_t kept = 0;
+        for (size_t i = 0; i < instrs.size(); ++i) {
+            const IrInstr &instr = instrs[i];
+            if (i < end) {
+                bool removable = instr.isCheck() &&
+                                 satisfies(state[instr.a], instr.op);
+                transfer(fn, instr, state);
+                if (removable) {
+                    ++stats.checksRemovedByKinds;
+                    continue;
+                }
             }
+            if (kept != i)
+                instrs[kept] = instr;
+            ++kept;
         }
-        instrs = std::move(kept);
+        instrs.resize(kept);
     }
 }
 

@@ -1,7 +1,5 @@
 #include "passes/passes.h"
 
-#include <unordered_map>
-
 #include "passes/analysis.h"
 #include "support/logging.h"
 
@@ -41,58 +39,119 @@ hoistClassOf(const IrInstr &instr)
     }
 }
 
-/** Does the loop contain stores/calls that could clobber this load? */
-bool
-loadClobberedInLoop(const IrFunction &fn, const NaturalLoop &loop,
-                    const IrInstr &load)
+constexpr uint32_t kNoCopy = ~uint32_t{0};
+
+/**
+ * What one loop's hoisting decisions read, gathered in one scan. The
+ * hoisting only turns in-loop instructions into copies or Nops and
+ * rewrites their uses, so none of this changes while the loop is
+ * processed. Storage is @p ctx scratch.
+ */
+class LoopFacts
 {
-    for (uint32_t b : loop.blocks) {
-        for (const IrInstr &instr : fn.blocks[b].instrs) {
-            if (isOpaqueCall(instr.op))
-                return true;
-            switch (load.op) {
-              case IrOp::GetSlot:
-                if (instr.op == IrOp::SetSlot &&
-                    instr.imm == load.imm) {
-                    return true;
-                }
-                break;
-              case IrOp::GetElem:
-              case IrOp::GetArrayLen:
-                if (instr.op == IrOp::SetElem)
-                    return true;
-                break;
-              case IrOp::LoadGlobal:
-                if (instr.op == IrOp::StoreGlobal &&
-                    instr.imm == load.imm) {
-                    return true;
-                }
-                break;
-              default:
-                break;
+  public:
+    LoopFacts(const IrFunction &fn, const NaturalLoop &loop,
+              AnalysisContext &ctx)
+        : defCount(ctx.bytes[0]), copyOf(ctx.indices[0]),
+          slotStores(ctx.indices[1]), globalStores(ctx.indices[2])
+    {
+        defCount.assign(fn.numRegs, 0);
+        copyOf.assign(fn.numRegs, kNoCopy);
+        slotStores.clear();
+        globalStores.clear();
+        for (uint32_t b : loop.blocks) {
+            for (const IrInstr &instr : fn.blocks[b].instrs) {
+                int32_t def = defOf(instr);
+                if (def >= 0 && defCount[static_cast<size_t>(def)] < 2)
+                    ++defCount[static_cast<size_t>(def)];
+                opaque |= isOpaqueCall(instr.op);
+                opaqueSmp |= instr.isCheck() && !instr.converted;
+                elemStore |= instr.op == IrOp::SetElem;
+                if (instr.op == IrOp::SetSlot)
+                    slotStores.push_back(instr.imm);
+                if (instr.op == IrOp::StoreGlobal)
+                    globalStores.push_back(instr.imm);
             }
         }
     }
-    return false;
-}
+
+    /** Any un-converted SMP check in the loop? */
+    bool hasOpaqueSmp() const { return opaqueSmp; }
+
+    /**
+     * Defs of @p reg in the loop, saturated at 2. Registers allocated
+     * after the scan (preheader temporaries) have none.
+     */
+    uint8_t
+    defs(uint16_t reg) const
+    {
+        return reg < defCount.size() ? defCount[reg] : 0;
+    }
+
+    /** Preheader temp holding @p reg's invariant value, or kNoCopy. */
+    uint32_t
+    copy(uint16_t reg) const
+    {
+        return reg < copyOf.size() ? copyOf[reg] : kNoCopy;
+    }
+
+    void setCopy(uint16_t reg, uint16_t temp) { copyOf[reg] = temp; }
+
+    /** Does the loop contain stores/calls that could clobber @p load? */
+    bool
+    clobbers(const IrInstr &load) const
+    {
+        if (opaque)
+            return true;
+        switch (load.op) {
+          case IrOp::GetSlot:
+            return contains(slotStores, load.imm);
+          case IrOp::GetElem:
+          case IrOp::GetArrayLen:
+            return elemStore;
+          case IrOp::LoadGlobal:
+            return contains(globalStores, load.imm);
+          default:
+            return false;
+        }
+    }
+
+  private:
+    static bool
+    contains(const std::vector<uint32_t> &imms, uint32_t imm)
+    {
+        for (uint32_t v : imms) {
+            if (v == imm)
+                return true;
+        }
+        return false;
+    }
+
+    std::vector<uint8_t> &defCount;
+    std::vector<uint32_t> &copyOf;
+    std::vector<uint32_t> &slotStores;
+    std::vector<uint32_t> &globalStores;
+    bool opaque = false;
+    bool opaqueSmp = false;
+    bool elemStore = false;
+};
 
 void
-hoistLoop(IrFunction &fn, const NaturalLoop &loop, uint32_t preheader,
-          PassStats &stats)
+hoistLoop(IrFunction &fn, AnalysisContext &ctx, const NaturalLoop &loop,
+          uint32_t preheader, PassStats &stats)
 {
-    bool has_opaque_smp = loopHasUnconvertedSmp(fn, loop);
-    std::vector<bool> defined = regsDefinedInLoop(fn, loop);
-
-    // Map from loop register -> preheader temp holding the invariant
-    // value (built as we hoist chains like check -> load -> check).
-    std::unordered_map<uint16_t, uint16_t> invariant_copy;
+    // Per-register facts, and the map from loop register -> preheader
+    // temp holding the invariant value (built as we hoist chains like
+    // check -> load -> check).
+    LoopFacts facts(fn, loop, ctx);
+    bool has_opaque_smp = facts.hasOpaqueSmp();
 
     auto operand = [&](uint16_t reg) -> uint16_t {
-        auto it = invariant_copy.find(reg);
-        return it == invariant_copy.end() ? reg : it->second;
+        uint32_t copy = facts.copy(reg);
+        return copy == kNoCopy ? reg : static_cast<uint16_t>(copy);
     };
     auto is_invariant = [&](uint16_t reg) {
-        return !defined[reg] || invariant_copy.count(reg);
+        return facts.defs(reg) == 0 || facts.copy(reg) != kNoCopy;
     };
 
     IrBlock &ph = fn.blocks[preheader];
@@ -138,7 +197,7 @@ hoistLoop(IrFunction &fn, const NaturalLoop &loop, uint32_t preheader,
                 } else if (cls == HoistClass::Load) {
                     if (has_opaque_smp)
                         continue; // Patchpoint opacity.
-                    if (loadClobberedInLoop(fn, loop, instr))
+                    if (facts.clobbers(instr))
                         continue;
                 } else { // ConvertedCheck
                     if (instr.op == IrOp::CheckOverflow)
@@ -162,18 +221,8 @@ hoistLoop(IrFunction &fn, const NaturalLoop &loop, uint32_t preheader,
                 // Value op: compute into a fresh temp in the
                 // preheader; the in-loop instruction becomes a copy so
                 // every SMP still sees the baseline register written.
-                if (invariant_copy.count(instr.dst))
+                if (facts.copy(instr.dst) != kNoCopy)
                     continue; // Another def already promoted this reg.
-                uint32_t defs = 0;
-                for (uint32_t b2 : loop.blocks) {
-                    for (const IrInstr &other :
-                         fn.blocks[b2].instrs) {
-                        if (defOf(other) ==
-                            static_cast<int32_t>(instr.dst)) {
-                            ++defs;
-                        }
-                    }
-                }
 
                 uint16_t temp = fn.allocTemp();
                 IrInstr hoisted = instr;
@@ -190,9 +239,9 @@ hoistLoop(IrFunction &fn, const NaturalLoop &loop, uint32_t preheader,
                 instr.op = IrOp::Move;
                 instr.dst = dst;
                 instr.a = temp;
-                if (defs == 1) {
+                if (facts.defs(dst) == 1) {
                     // Unique def: every in-loop use sees this value.
-                    invariant_copy[dst] = temp;
+                    facts.setCopy(dst, temp);
                 } else {
                     // Reused temporary (the bytecode compiler's
                     // expression stack): forward the hoisted value to
@@ -237,40 +286,34 @@ hoistLoop(IrFunction &fn, const NaturalLoop &loop, uint32_t preheader,
         }
     }
 
-    // Sweep hoisted-check Nops.
+    // Sweep hoisted-check Nops, compacting in place.
     for (uint32_t b : loop.blocks) {
         auto &instrs = fn.blocks[b].instrs;
-        std::vector<IrInstr> kept;
-        kept.reserve(instrs.size());
-        for (const IrInstr &instr : instrs) {
-            if (instr.op != IrOp::Nop)
-                kept.push_back(instr);
+        size_t kept = 0;
+        for (size_t i = 0; i < instrs.size(); ++i) {
+            if (instrs[i].op != IrOp::Nop)
+                instrs[kept++] = instrs[i];
         }
-        instrs = std::move(kept);
+        instrs.resize(kept);
     }
 }
 
 } // namespace
 
 void
-runLicm(IrFunction &fn, PassStats &stats)
+runLicm(IrFunction &fn, AnalysisContext &ctx, PassStats &stats)
 {
     // Phase 1: make sure every loop has a dedicated preheader (block
-    // creation invalidates analyses, so do it up front).
-    {
-        std::vector<uint32_t> idom = computeIdoms(fn);
-        std::vector<NaturalLoop> loops = findLoops(fn, idom);
-        for (const NaturalLoop &loop : loops)
-            ensurePreheader(fn, loop);
-    }
+    // creation edits the CFG, so do it up front).
+    for (const NaturalLoop &loop : ctx.loops())
+        ensurePreheader(fn, loop);
 
     // Phase 2: hoist, innermost loops first so chains migrate
     // outward through enclosing loops.
-    std::vector<uint32_t> idom = computeIdoms(fn);
-    std::vector<NaturalLoop> loops = findLoops(fn, idom);
+    const std::vector<NaturalLoop> &loops = ctx.loops();
     for (auto it = loops.rbegin(); it != loops.rend(); ++it) {
         uint32_t preheader = ensurePreheader(fn, *it);
-        hoistLoop(fn, *it, preheader, stats);
+        hoistLoop(fn, ctx, *it, preheader, stats);
     }
     fn.verify();
 }

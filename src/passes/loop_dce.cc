@@ -1,8 +1,5 @@
 #include "passes/passes.h"
 
-#include <unordered_map>
-#include <utility>
-
 #include "passes/analysis.h"
 #include "vm/builtins.h"
 
@@ -29,6 +26,8 @@ struct Coord {
     uint32_t index;
 };
 
+constexpr uint32_t kOutside = ~uint32_t{0};
+
 /**
  * Mark-and-sweep context for one loop. Resolves each register use to
  * its reaching def: the nearest earlier def in the same block, or —
@@ -36,47 +35,68 @@ struct Coord {
  * sees through the bytecode compiler's reused expression temporaries
  * (a register-level analysis would merge unrelated expressions that
  * happen to share a temp).
+ *
+ * Marks are one flat flag array over the loop's instructions, and
+ * each register's in-loop defs one run of a flat array indexed by a
+ * per-register offset table.
  */
 class LoopMarker
 {
   public:
-    LoopMarker(const IrFunction &fn_, const NaturalLoop &loop_)
-        : fn(fn_), loop(loop_)
+    LoopMarker(const IrFunction &fn_, const NaturalLoop &loop,
+               AnalysisContext &ctx)
+        : fn(fn_), blockStart(ctx.indices[0]), defStart(ctx.indices[1]),
+          marked(ctx.bytes[0])
     {
+        // blockStart[b]: flat index of block b's first instruction, or
+        // kOutside for blocks outside the loop.
+        blockStart.assign(fn.blocks.size(), kOutside);
+        uint32_t total = 0;
+        defStart.assign(size_t{fn.numRegs} + 1, 0);
+        for (uint32_t b : loop.blocks) {
+            blockStart[b] = total;
+            for (const IrInstr &instr : fn.blocks[b].instrs) {
+                int32_t def = defOf(instr);
+                if (def >= 0)
+                    ++defStart[static_cast<size_t>(def) + 1];
+            }
+            total += static_cast<uint32_t>(fn.blocks[b].instrs.size());
+        }
+        marked.assign(total, 0);
+        for (size_t r = 0; r < fn.numRegs; ++r)
+            defStart[r + 1] += defStart[r];
+        // Fill each register's run with its defs in loop-block order;
+        // defStart[r] advances while filling and is restored by one
+        // shift afterwards.
+        defSites.resize(defStart[fn.numRegs]);
         for (uint32_t b : loop.blocks) {
             const auto &instrs = fn.blocks[b].instrs;
             for (uint32_t i = 0; i < instrs.size(); ++i) {
                 int32_t def = defOf(instrs[i]);
-                if (def >= 0) {
-                    defsOf[static_cast<uint16_t>(def)].push_back(
-                        {b, i});
-                }
+                if (def >= 0)
+                    defSites[defStart[static_cast<size_t>(def)]++] = {b, i};
             }
         }
-        marked.resize(loop.blocks.size());
-        for (size_t li = 0; li < loop.blocks.size(); ++li) {
-            blockSlot[loop.blocks[li]] = li;
-            marked[li].assign(
-                fn.blocks[loop.blocks[li]].instrs.size(), false);
-        }
+        for (size_t r = fn.numRegs; r > 0; --r)
+            defStart[r] = defStart[r - 1];
+        defStart[0] = 0;
     }
 
     bool
     isMarked(uint32_t block, uint32_t index) const
     {
-        auto it = blockSlot.find(block);
-        if (it == blockSlot.end())
+        if (blockStart[block] == kOutside)
             return true; // Outside the loop: untouched.
-        return marked[it->second][index];
+        return marked[blockStart[block] + index];
     }
 
     void
     mark(uint32_t block, uint32_t index)
     {
-        size_t slot = blockSlot.at(block);
-        if (marked[slot][index])
+        uint8_t &flag = marked[blockStart[block] + index];
+        if (flag)
             return;
-        marked[slot][index] = true;
+        flag = 1;
         work.push_back({block, index});
     }
 
@@ -98,11 +118,8 @@ class LoopMarker
     void
     markAllDefs(uint16_t reg)
     {
-        auto it = defsOf.find(reg);
-        if (it == defsOf.end())
-            return; // Defined outside the loop only.
-        for (const Coord &coord : it->second)
-            mark(coord.block, coord.index);
+        for (uint32_t d = defStart[reg]; d < defStart[reg + 1]; ++d)
+            mark(defSites[d].block, defSites[d].index);
     }
 
     void
@@ -121,23 +138,23 @@ class LoopMarker
 
   private:
     const IrFunction &fn;
-    const NaturalLoop &loop;
-    std::unordered_map<uint16_t, std::vector<Coord>> defsOf;
-    std::unordered_map<uint32_t, size_t> blockSlot;
-    std::vector<std::vector<bool>> marked;
+    std::vector<uint32_t> &blockStart;
+    std::vector<uint32_t> &defStart;
+    std::vector<uint8_t> &marked;
+    std::vector<Coord> defSites;
     std::vector<Coord> work;
 };
 
 } // namespace
 
 void
-runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
+runLoopAccumulatorDce(IrFunction &fn, AnalysisContext &ctx,
+                      PassStats &stats)
 {
-    std::vector<uint32_t> idom = computeIdoms(fn);
-    std::vector<NaturalLoop> loops = findLoops(fn, idom);
+    const std::vector<NaturalLoop> &loops = ctx.loops();
     if (loops.empty())
         return;
-    Liveness liveness = computeLiveness(fn);
+    Liveness &liveness = ctx.liveness();
 
     for (const NaturalLoop &loop : loops) {
         // Opaque SMPs or tiling snapshots need every register.
@@ -153,7 +170,7 @@ runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
         if (blocked)
             continue;
 
-        LoopMarker marker(fn, loop);
+        LoopMarker marker(fn, loop, ctx);
 
         // Roots: every non-pure, non-converted-check instruction.
         for (uint32_t b : loop.blocks) {
@@ -172,8 +189,9 @@ runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
             for (uint32_t succ : fn.blocks[exiting].succs) {
                 if (loop.contains(succ))
                     continue;
+                RegSet live_in = liveness.liveIn(succ);
                 for (uint16_t r = 0; r < fn.numRegs; ++r) {
-                    if (liveness.liveIn[succ].test(r))
+                    if (live_in.test(r))
                         marker.markAllDefs(r);
                 }
             }
@@ -181,10 +199,13 @@ runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
         marker.propagate();
 
         // Sweep: unmarked pure defs die. A converted check dies when
-        // a guarded operand's intra-block reaching def died.
+        // a guarded operand's intra-block reaching def died. Each
+        // block is decided on its original order, then compacted in
+        // place.
+        std::vector<uint8_t> &remove = ctx.bytes[1];
         for (uint32_t b : loop.blocks) {
             auto &instrs = fn.blocks[b].instrs;
-            std::vector<bool> remove(instrs.size(), false);
+            remove.assign(instrs.size(), 0);
             for (uint32_t i = 0; i < instrs.size(); ++i) {
                 const IrInstr &instr = instrs[i];
                 if (pureInLoop(instr)) {
@@ -203,15 +224,14 @@ runLoopAccumulatorDce(IrFunction &fn, PassStats &stats)
                     });
                 }
             }
-            std::vector<IrInstr> kept;
-            kept.reserve(instrs.size());
+            size_t kept = 0;
             for (uint32_t i = 0; i < instrs.size(); ++i) {
                 if (remove[i])
                     ++stats.deadOpsRemoved;
                 else
-                    kept.push_back(instrs[i]);
+                    instrs[kept++] = instrs[i];
             }
-            instrs = std::move(kept);
+            instrs.resize(kept);
         }
     }
 }

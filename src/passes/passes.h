@@ -15,6 +15,10 @@
  * there are no per-architecture switches inside the passes — the
  * NoMap planner's conversions alone unlock them.
  *
+ * Every pass takes the compile's AnalysisContext (passes/analysis.h):
+ * it reads CFG analyses from its cache and uses its scratch storage,
+ * so no per-instruction path of a pass hashes or allocates.
+ *
  * Pipelines (assembled in ftl/compile.cc):
  *   DFG       : KindInference, LocalCse
  *   FTL Base  : KindInference, CheckElim, LocalCse, Licm, Dce
@@ -26,6 +30,8 @@
 #include "ir/ir.h"
 
 namespace nomap {
+
+class AnalysisContext;
 
 /** Per-pass change counters, for tests and ablation reporting. */
 struct PassStats {
@@ -71,7 +77,8 @@ totalOpsChanged(const PassStats &stats)
  * whose speculation is already proven (e.g. CheckInt32 on the result
  * of an overflow-checked AddInt). Sound across SMPs, runs everywhere.
  */
-void runKindInference(IrFunction &fn, PassStats &stats);
+void runKindInference(IrFunction &fn, AnalysisContext &ctx,
+                      PassStats &stats);
 
 /**
  * Available-check elimination: a check identical to one that
@@ -80,7 +87,8 @@ void runKindInference(IrFunction &fn, PassStats &stats);
  * facts — in Base compilation this pass therefore achieves almost
  * nothing, exactly the "limited effectiveness" the paper describes.
  */
-void runCheckElim(IrFunction &fn, PassStats &stats);
+void runCheckElim(IrFunction &fn, AnalysisContext &ctx,
+                  PassStats &stats);
 
 /**
  * Local common-subexpression elimination + redundant-load elimination
@@ -88,7 +96,8 @@ void runCheckElim(IrFunction &fn, PassStats &stats);
  * class memory epoch; stores, opaque calls, and un-converted SMPs
  * bump epochs.
  */
-void runLocalCse(IrFunction &fn, PassStats &stats);
+void runLocalCse(IrFunction &fn, AnalysisContext &ctx,
+                 PassStats &stats);
 
 /**
  * Loop-invariant code motion. Pure ops hoist everywhere; loads and
@@ -96,7 +105,8 @@ void runLocalCse(IrFunction &fn, PassStats &stats);
  * hoisting is safe under rollback); nothing heap-dependent moves
  * across un-converted SMPs.
  */
-void runLicm(IrFunction &fn, PassStats &stats);
+void runLicm(IrFunction &fn, AnalysisContext &ctx,
+             PassStats &stats);
 
 /**
  * Scalar promotion of loop-invariant object-slot / global locations
@@ -104,31 +114,36 @@ void runLicm(IrFunction &fn, PassStats &stats);
  * preheader, keep the value in a register, store once at the
  * transaction commit points. Only legal inside transactions.
  */
-void runStoreSink(IrFunction &fn, PassStats &stats);
+void runStoreSink(IrFunction &fn, AnalysisContext &ctx,
+                  PassStats &stats);
 
 /**
  * NoMap_B's bounds-check combining: per-loop monotonic induction
  * indices get their per-iteration CheckBounds replaced by a single
  * CheckBoundsRange at the loop exit (paper Figure 6).
  */
-void runBoundsCombine(IrFunction &fn, PassStats &stats);
+void runBoundsCombine(IrFunction &fn, AnalysisContext &ctx,
+                      PassStats &stats);
 
 /**
  * Full NoMap's Sticky-Overflow-Flag optimization: deletes converted
  * CheckOverflow instructions; the outermost XEnd checks the SOF
  * (paper Figure 7).
  */
-void runSofElim(IrFunction &fn, PassStats &stats);
+void runSofElim(IrFunction &fn, AnalysisContext &ctx,
+                PassStats &stats);
 
 /** NoMap_BC unrealistic bound: delete every converted check. */
-void runRemoveConvertedChecks(IrFunction &fn, PassStats &stats);
+void runRemoveConvertedChecks(IrFunction &fn, AnalysisContext &ctx,
+                              PassStats &stats);
 
 /**
  * Dead-code elimination. Un-converted SMPs and TxBegin/TxTile keep
  * all baseline registers alive (deopt needs them); converted checks
  * keep nothing and die with the values they guard.
  */
-void runDce(IrFunction &fn, PassStats &stats);
+void runDce(IrFunction &fn, AnalysisContext &ctx,
+            PassStats &stats);
 
 /**
  * Strong (cycle-aware) dead-code elimination scoped to loops inside
@@ -138,14 +153,16 @@ void runDce(IrFunction &fn, PassStats &stats);
  * edge. This is what lets whole benchmark kernels become dead code
  * under NoMap (paper Table III).
  */
-void runLoopAccumulatorDce(IrFunction &fn, PassStats &stats);
+void runLoopAccumulatorDce(IrFunction &fn, AnalysisContext &ctx,
+                           PassStats &stats);
 
 /**
  * Deletes loops whose bodies reduced to pure induction spinning with
  * no live results — the effect that lets NoMap optimize three
  * SunSpider benchmarks away entirely (paper Table III).
  */
-void runEmptyLoopElim(IrFunction &fn, PassStats &stats);
+void runEmptyLoopElim(IrFunction &fn, AnalysisContext &ctx,
+                      PassStats &stats);
 
 } // namespace nomap
 

@@ -1,6 +1,6 @@
 #include "passes/passes.h"
 
-#include <map>
+#include <algorithm>
 
 #include "passes/analysis.h"
 #include "support/logging.h"
@@ -15,11 +15,18 @@ struct Location {
     uint16_t objReg = 0; ///< Invariant object register (slots only).
     uint32_t index = 0;  ///< Slot index or global index.
 
-    bool
-    operator<(const Location &other) const
+    /** Packed so that key order is (isGlobal, objReg, index) order. */
+    uint64_t
+    key() const
     {
-        return std::tie(isGlobal, objReg, index) <
-               std::tie(other.isGlobal, other.objReg, other.index);
+        return (uint64_t{isGlobal} << 48) | (uint64_t{objReg} << 32) |
+               index;
+    }
+
+    bool
+    operator==(const Location &other) const
+    {
+        return key() == other.key();
     }
 };
 
@@ -83,13 +90,14 @@ enclosingRegion(const IrFunction &fn, const NaturalLoop &loop)
 }
 
 void
-promoteLoop(IrFunction &fn, NaturalLoop &loop, const TxRegion &region,
-            PassStats &stats)
+promoteLoop(IrFunction &fn, AnalysisContext &ctx, const NaturalLoop &loop,
+            const TxRegion &region, PassStats &stats)
 {
     if (loopHasUnconvertedSmp(fn, loop) || loopHasOpaqueOps(fn, loop))
         return;
 
-    std::vector<bool> defined = regsDefinedInLoop(fn, loop);
+    std::vector<uint8_t> &defined = ctx.bytes[0];
+    regsDefinedInLoop(fn, loop, defined);
 
     // Gather candidate locations: stored at least once, object
     // register invariant, and no ambiguous aliasing (a second access
@@ -97,40 +105,53 @@ promoteLoop(IrFunction &fn, NaturalLoop &loop, const TxRegion &region,
     // or any SetElem that could be... SetElem writes array storage,
     // which never aliases object slots or globals in this VM).
     struct Candidate {
-        uint32_t loads = 0;
+        Location loc;
         uint32_t stores = 0;
         bool invalid = false;
     };
-    std::map<Location, Candidate> candidates;
+    // A loop touches few locations: a flat list, searched linearly
+    // and sorted by location once gathered.
+    std::vector<Candidate> candidates;
+    auto candidate_at = [&](const Location &loc) -> Candidate & {
+        for (Candidate &cand : candidates) {
+            if (cand.loc == loc)
+                return cand;
+        }
+        candidates.push_back({loc});
+        return candidates.back();
+    };
     for (uint32_t b : loop.blocks) {
         for (const IrInstr &instr : fn.blocks[b].instrs) {
             Location loc;
             uint16_t src;
-            if (matchLoad(instr, &loc)) {
-                Candidate &cand = candidates[loc];
-                ++cand.loads;
-                if (!loc.isGlobal && defined[loc.objReg])
-                    cand.invalid = true;
-            } else if (matchStore(instr, &loc, &src)) {
-                Candidate &cand = candidates[loc];
-                ++cand.stores;
-                if (!loc.isGlobal && defined[loc.objReg])
-                    cand.invalid = true;
+            bool store = false;
+            if (!matchLoad(instr, &loc)) {
+                if (!matchStore(instr, &loc, &src))
+                    continue;
+                store = true;
             }
+            Candidate &cand = candidate_at(loc);
+            cand.stores += store;
+            if (!loc.isGlobal && defined[loc.objReg])
+                cand.invalid = true;
         }
     }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate &x, const Candidate &y) {
+                  return x.loc.key() < y.loc.key();
+              });
     // Reject same-slot accesses through different registers (the two
     // registers might hold the same object).
-    for (auto &entry : candidates) {
-        if (entry.first.isGlobal)
+    for (Candidate &entry : candidates) {
+        if (entry.loc.isGlobal)
             continue;
-        for (auto &other : candidates) {
-            if (other.first.isGlobal)
+        for (Candidate &other : candidates) {
+            if (other.loc.isGlobal)
                 continue;
-            if (entry.first.index == other.first.index &&
-                entry.first.objReg != other.first.objReg) {
-                entry.second.invalid = true;
-                other.second.invalid = true;
+            if (entry.loc.index == other.loc.index &&
+                entry.loc.objReg != other.loc.objReg) {
+                entry.invalid = true;
+                other.invalid = true;
             }
         }
     }
@@ -145,9 +166,8 @@ promoteLoop(IrFunction &fn, NaturalLoop &loop, const TxRegion &region,
         sink_blocks = ensureDedicatedExits(fn, loop);
     }
 
-    for (auto &entry : candidates) {
-        const Location &loc = entry.first;
-        Candidate &cand = entry.second;
+    for (const Candidate &cand : candidates) {
+        const Location &loc = cand.loc;
         if (cand.invalid || cand.stores == 0)
             continue;
 
@@ -158,11 +178,7 @@ promoteLoop(IrFunction &fn, NaturalLoop &loop, const TxRegion &region,
         // the region's begin block is always safe; for inner loops
         // the location is loop-invariant across the outer iterations
         // only if... it is not, so use the loop's own preheader.
-        uint32_t ph_block;
-        {
-            NaturalLoop tmp_loop = loop;
-            ph_block = ensurePreheader(fn, tmp_loop);
-        }
+        uint32_t ph_block = ensurePreheader(fn, loop);
         IrBlock &ph = fn.blocks[ph_block];
         IrInstr load;
         load.op = loc.isGlobal ? IrOp::LoadGlobal : IrOp::GetSlot;
@@ -176,16 +192,14 @@ promoteLoop(IrFunction &fn, NaturalLoop &loop, const TxRegion &region,
             for (IrInstr &instr : fn.blocks[b].instrs) {
                 Location l2;
                 uint16_t src;
-                if (matchLoad(instr, &l2) && !(l2 < loc) &&
-                    !(loc < l2)) {
+                if (matchLoad(instr, &l2) && l2 == loc) {
                     uint16_t dst = instr.dst;
                     instr = IrInstr();
                     instr.op = IrOp::Move;
                     instr.dst = dst;
                     instr.a = temp;
                     ++stats.loadsPromoted;
-                } else if (matchStore(instr, &l2, &src) &&
-                           !(l2 < loc) && !(loc < l2)) {
+                } else if (matchStore(instr, &l2, &src) && l2 == loc) {
                     instr = IrInstr();
                     instr.op = IrOp::Move;
                     instr.dst = temp;
@@ -244,29 +258,25 @@ promoteLoop(IrFunction &fn, NaturalLoop &loop, const TxRegion &region,
 } // namespace
 
 void
-runStoreSink(IrFunction &fn, PassStats &stats)
+runStoreSink(IrFunction &fn, AnalysisContext &ctx, PassStats &stats)
 {
     if (fn.txRegions.empty())
         return;
-    std::vector<uint32_t> idom = computeIdoms(fn);
-    std::vector<NaturalLoop> loops = findLoops(fn, idom);
-    // Innermost first.
-    for (auto it = loops.rbegin(); it != loops.rend(); ++it) {
-        const TxRegion *region = enclosingRegion(fn, *it);
-        if (region)
-            promoteLoop(fn, *it, *region, stats);
-        // Loop analyses are invalidated by block splits; recompute.
-        idom = computeIdoms(fn);
-        std::vector<NaturalLoop> fresh = findLoops(fn, idom);
-        // Match remaining loops by header.
-        std::vector<NaturalLoop> remaining;
-        for (auto jt = it + 1; jt != loops.rend(); ++jt) {
-            for (NaturalLoop &cand : fresh) {
-                if (cand.header == jt->header) {
-                    *jt = cand;
-                    break;
-                }
-            }
+    // Innermost first, each loop as the analysis of the CFG its
+    // predecessors' edits left (promotion splits exits and adds
+    // preheaders).
+    std::vector<uint32_t> &headers = ctx.indices[0];
+    headers.clear();
+    for (const NaturalLoop &loop : ctx.loops())
+        headers.push_back(loop.header);
+    for (size_t h = headers.size(); h-- > 0;) {
+        for (const NaturalLoop &loop : ctx.loops()) {
+            if (loop.header != headers[h])
+                continue;
+            const TxRegion *region = enclosingRegion(fn, loop);
+            if (region)
+                promoteLoop(fn, ctx, loop, *region, stats);
+            break;
         }
     }
     fn.verify();

@@ -1,9 +1,13 @@
 #include "passes/passes.h"
 
+#include <vector>
+
+#include "passes/analysis.h"
+
 namespace nomap {
 
 void
-runSofElim(IrFunction &fn, PassStats &stats)
+runSofElim(IrFunction &fn, AnalysisContext &, PassStats &stats)
 {
     // The Sticky Overflow Flag latches any integer overflow inside a
     // transaction; the outermost XEnd checks it and aborts (paper
@@ -12,37 +16,26 @@ runSofElim(IrFunction &fn, PassStats &stats)
     // converted one. Un-converted checks (outside transactions, or in
     // Base compilation) must stay — x86 has no SOF.
     for (IrBlock &block : fn.blocks) {
-        std::vector<IrInstr> kept;
-        kept.reserve(block.instrs.size());
-        for (const IrInstr &instr : block.instrs) {
-            if (instr.op == IrOp::CheckOverflow && instr.converted) {
-                ++stats.overflowChecksRemoved;
-                continue;
-            }
-            kept.push_back(instr);
-        }
-        block.instrs = std::move(kept);
+        stats.overflowChecksRemoved += static_cast<uint32_t>(
+            std::erase_if(block.instrs, [](const IrInstr &instr) {
+                return instr.op == IrOp::CheckOverflow && instr.converted;
+            }));
     }
 }
 
 void
-runRemoveConvertedChecks(IrFunction &fn, PassStats &stats)
+runRemoveConvertedChecks(IrFunction &fn, AnalysisContext &,
+                         PassStats &stats)
 {
     // NoMap_BC: the paper's unrealistic upper bound where *every*
     // check inside a transaction disappears. Deliberately unsound for
     // corner cases (which is why the paper calls it unrealistic);
     // overflow safety is still preserved by the SOF at XEnd.
     for (IrBlock &block : fn.blocks) {
-        std::vector<IrInstr> kept;
-        kept.reserve(block.instrs.size());
-        for (const IrInstr &instr : block.instrs) {
-            if (instr.isCheck() && instr.converted) {
-                ++stats.checksRemovedUnsafe;
-                continue;
-            }
-            kept.push_back(instr);
-        }
-        block.instrs = std::move(kept);
+        stats.checksRemovedUnsafe += static_cast<uint32_t>(
+            std::erase_if(block.instrs, [](const IrInstr &instr) {
+                return instr.isCheck() && instr.converted;
+            }));
     }
 }
 

@@ -2,7 +2,9 @@
  * @file
  * IR-digest differential: pins the exact post-pass IR of every DFG
  * and FTL compile of the suites (S01-S26, K01-K14) and of a seeded
- * set of generated programs, on all six architectures.
+ * set of generated programs, on all six architectures. The same
+ * compiles also audit the per-compile analysis cache (see the
+ * AnalysisCache test at the end).
  *
  * Each program runs on a fresh Engine (which supplies real profiles
  * and the installed DFG/FTL code). Every function the engine compiled
@@ -29,6 +31,7 @@
 
 #include "engine/engine.h"
 #include "ftl/compile.h"
+#include "passes/analysis.h"
 #include "suites/suite.h"
 #include "testing/program_generator.h"
 
@@ -113,11 +116,13 @@ digestIr(const IrFunction &ir, Digest &d)
  * Run @p source on @p arch, then call @p f(ir) for the installed IR
  * and for a fresh compile of every function the engine compiled: once
  * at the DFG tier and once per planner scope level at the FTL tier.
- * Returns the number of IR functions visited.
+ * The fresh compiles run @p observer after every pass. Returns the
+ * number of IR functions visited.
  */
 template <typename F>
 uint32_t
-forEachCompiledIr(const std::string &source, Architecture arch, F &&f)
+forEachCompiledIr(const std::string &source, Architecture arch, F &&f,
+                  const PassObserver &observer = {})
 {
     EngineConfig config;
     config.arch = arch;
@@ -138,10 +143,13 @@ forEachCompiledIr(const std::string &source, Architecture arch, F &&f)
             }
         }
         const BytecodeFunction &fn = *program->functions[id];
-        f(compileFunction(fn, engine.heap(), Tier::Dfg, arch).ir);
+        f(compileFunction(fn, engine.heap(), Tier::Dfg, arch, 0, nullptr,
+                          nullptr, {}, observer)
+              .ir);
         ++visited;
         for (uint32_t level = 0; level < levels; ++level) {
-            f(compileFunction(fn, engine.heap(), Tier::Ftl, arch, level)
+            f(compileFunction(fn, engine.heap(), Tier::Ftl, arch, level,
+                              nullptr, nullptr, {}, observer)
                   .ir);
             ++visited;
         }
@@ -219,6 +227,58 @@ TEST(IrDigest, PostPassIrMatchesGolden)
         << "post-pass IR drifted from " << path
         << "; if intentional, regenerate with NOMAP_UPDATE_GOLDEN=1 "
            "and review the diff";
+}
+
+void
+expectSameLoops(const std::vector<NaturalLoop> &cached,
+                const std::vector<NaturalLoop> &fresh)
+{
+    ASSERT_EQ(cached.size(), fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+        SCOPED_TRACE("loop " + std::to_string(i));
+        EXPECT_EQ(cached[i].header, fresh[i].header);
+        EXPECT_EQ(cached[i].blocks, fresh[i].blocks);
+        EXPECT_EQ(cached[i].exitingBlocks, fresh[i].exitingBlocks);
+        EXPECT_EQ(cached[i].exitTargets, fresh[i].exitTargets);
+        EXPECT_EQ(cached[i].latches, fresh[i].latches);
+        EXPECT_EQ(cached[i].loopId, fresh[i].loopId);
+        EXPECT_EQ(cached[i].parentHeader, fresh[i].parentHeader);
+    }
+}
+
+/**
+ * After every pass of every compile of the digest set, the analysis
+ * context's cached RPO, dominators and loops equal a fresh
+ * computation (a new context over the same IR): a pass that edits the
+ * CFG without bumping IrFunction::cfgEpoch leaves a stale cache and
+ * fails here.
+ */
+TEST(AnalysisCache, MatchesFreshComputationAfterEveryPass)
+{
+    uint64_t audits = 0;
+    uint64_t cfg_edits = 0;
+    PassObserver audit = [&](TracePassId id, const IrFunction &ir,
+                             AnalysisContext &ctx) {
+        SCOPED_TRACE(std::string("after ") + tracePassName(id));
+        AnalysisContext fresh(ir);
+        EXPECT_EQ(ctx.rpo(), fresh.rpo());
+        EXPECT_EQ(ctx.idoms(), fresh.idoms());
+        expectSameLoops(ctx.loops(), fresh.loops());
+        ++audits;
+        cfg_edits += ir.cfgEpoch;
+    };
+    for (const Program &program : digestPrograms()) {
+        for (Architecture arch : kArchs) {
+            SCOPED_TRACE(program.id + " on " + architectureName(arch));
+            forEachCompiledIr(
+                program.source, arch, [](const IrFunction &) {}, audit);
+            if (HasFailure())
+                return;
+        }
+    }
+    // The set exercises the pipeline, and passes that edit the CFG.
+    EXPECT_GT(audits, 10000u);
+    EXPECT_GT(cfg_edits, 0u);
 }
 
 } // namespace

@@ -259,8 +259,9 @@ TEST_F(PassTest, AnalysisFindsLoopsAndDominators)
         trainAndGet(Architecture::Base, kSumLoop, "sumInto");
     ASSERT_NE(state->ftl, nullptr);
     const IrFunction &ir = state->ftl->ir;
-    std::vector<uint32_t> idom = computeIdoms(ir);
-    std::vector<NaturalLoop> loops = findLoops(ir, idom);
+    AnalysisContext analyses(ir);
+    const std::vector<uint32_t> &idom = analyses.idoms();
+    const std::vector<NaturalLoop> &loops = analyses.loops();
     ASSERT_EQ(loops.size(), 1u);
     EXPECT_FALSE(loops[0].blocks.empty());
     EXPECT_EQ(loops[0].exitingBlocks.size(), 1u);
