@@ -366,28 +366,31 @@ RegSet::unionWith(const RegSet &other)
 }
 
 void
-computeLiveness(const IrFunction &fn, Liveness &result)
+Liveness::compute(const IrFunction &fn)
 {
     size_t nblocks = fn.blocks.size();
-    size_t words = regSetWords(fn.numRegs);
-    result.words = words;
-    result.genRows.resize(nblocks * words);
-    result.killRows.resize(nblocks * words);
+    words = regSetWords(fn.numRegs);
+    gen.resize(nblocks * words);
+    kill.resize(nblocks * words);
     for (size_t bi = 0; bi < nblocks; ++bi)
-        result.summarize(fn, bi);
-    result.solve(fn);
+        summarize(fn, bi);
+    solve(fn);
 }
 
 void
 Liveness::summarize(const IrFunction &fn, size_t block)
 {
-    RegSet g = gen(block);
-    RegSet k = kill(block);
+    RegSet g = row(gen, block);
+    RegSet k = row(kill, block);
     g.clear();
     k.clear();
     const std::vector<IrInstr> &instrs = fn.blocks[block].instrs;
-    for (size_t ii = instrs.size(); ii-- > 0;)
-        stepSummary(fn, instrs[ii], g, k);
+    for (size_t ii = instrs.size(); ii-- > 0;) {
+        stepLiveness(fn, instrs[ii], g);
+        int32_t def = defOf(instrs[ii]);
+        if (def >= 0)
+            k.set(static_cast<size_t>(def));
+    }
 }
 
 void
@@ -400,8 +403,8 @@ Liveness::solve(const IrFunction &fn)
     while (changed) {
         changed = false;
         for (size_t bi = nblocks; bi-- > 0;) {
-            const uint64_t *g = genRows.data() + bi * words;
-            const uint64_t *k = killRows.data() + bi * words;
+            const uint64_t *g = gen.data() + bi * words;
+            const uint64_t *k = kill.data() + bi * words;
             const uint64_t *o = out.data() + bi * words;
             uint64_t *i = in.data() + bi * words;
             for (size_t w = 0; w < words; ++w)
@@ -447,7 +450,7 @@ AnalysisContext::loops()
 Liveness &
 AnalysisContext::liveness()
 {
-    computeLiveness(fn, live);
+    live.compute(fn);
     return live;
 }
 

@@ -264,32 +264,37 @@ stepLiveness(const IrFunction &fn, const IrInstr &instr, RegSet live)
 }
 
 /**
- * Per-block register liveness: flat arrays of RegSet rows. Each
- * block's transfer is summarized as one gen/kill pair
- * (live-in = gen | (live-out & ~kill)), so solving iterates on words,
- * not instructions.
+ * Per-block register liveness under stepLiveness's rules: flat arrays
+ * of RegSet rows. Each block's transfer is summarized as one gen/kill
+ * pair (live-in = gen | (live-out & ~kill)), so solving iterates on
+ * words, not instructions. The one liveness analysis DCE, loop DCE
+ * and empty-loop elimination share (through
+ * AnalysisContext::liveness()).
  */
 class Liveness
 {
   public:
     RegSet liveIn(size_t block) { return row(in, block); }
     RegSet liveOut(size_t block) { return row(out, block); }
-    RegSet gen(size_t block) { return row(genRows, block); }
-    RegSet kill(size_t block) { return row(killRows, block); }
 
-    /** Rebuild block @p block's gen/kill from its instructions. */
+    /** Summarize every block and solve, reusing the rows. */
+    void compute(const IrFunction &fn);
+
+    /**
+     * Rebuild block @p block's gen/kill from its instructions, by
+     * stepping backward: for f(x) = (x & ~kill) | gen and a step
+     * s(y) = (y & ~def) | uses, s(f(x)) = (x & ~(kill | def)) | s(gen).
+     */
     void summarize(const IrFunction &fn, size_t block);
 
     /**
      * Solve live-in/live-out to fixpoint from the current gen/kill
      * rows (a pass that edits some blocks re-summarizes just those,
-     * then calls this instead of recomputing every summary).
+     * then calls this instead of compute()).
      */
     void solve(const IrFunction &fn);
 
   private:
-    friend void computeLiveness(const IrFunction &fn, Liveness &result);
-
     RegSet
     row(std::vector<uint64_t> &rows, size_t block)
     {
@@ -299,33 +304,9 @@ class Liveness
     size_t words = 0;
     std::vector<uint64_t> in;
     std::vector<uint64_t> out;
-    std::vector<uint64_t> genRows;
-    std::vector<uint64_t> killRows;
+    std::vector<uint64_t> gen;
+    std::vector<uint64_t> kill;
 };
-
-/**
- * Backward liveness to fixpoint under stepLiveness's rules, into
- * @p result's reused rows. The one liveness analysis DCE, loop DCE
- * and empty-loop elimination share (through
- * AnalysisContext::liveness()).
- */
-void computeLiveness(const IrFunction &fn, Liveness &result);
-
-/**
- * Step a block summary backward over @p instr: @p gen and @p kill
- * describing the instructions after it become the summary including
- * it (for f(x) = (x & ~kill) | gen and the step s(y) =
- * (y & ~def) | uses, s(f(x)) = (x & ~(kill | def)) | s(gen)).
- */
-inline void
-stepSummary(const IrFunction &fn, const IrInstr &instr, RegSet gen,
-            RegSet kill)
-{
-    stepLiveness(fn, instr, gen);
-    int32_t def = defOf(instr);
-    if (def >= 0)
-        kill.set(static_cast<size_t>(def));
-}
 
 /**
  * The per-compile analysis context. compileFunction creates one for
@@ -378,7 +359,7 @@ class AnalysisContext
      */
     Liveness &liveness();
 
-    /** Scratch: bitset rows and masks, sort keys. */
+    /** Scratch: bitset rows and masks, hash-table slots. */
     std::vector<uint64_t> words[3];
     /** Scratch: per-instruction ids, offsets, register maps. */
     std::vector<uint32_t> indices[3];

@@ -1,5 +1,7 @@
 #include "passes/passes.h"
 
+#include <algorithm>
+
 #include "passes/analysis.h"
 #include "support/logging.h"
 
@@ -120,11 +122,7 @@ class LoopFacts
     static bool
     contains(const std::vector<uint32_t> &imms, uint32_t imm)
     {
-        for (uint32_t v : imms) {
-            if (v == imm)
-                return true;
-        }
-        return false;
+        return std::find(imms.begin(), imms.end(), imm) != imms.end();
     }
 
     std::vector<uint8_t> &defCount;
