@@ -2,6 +2,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -284,12 +285,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Capacity models vs. reference sets --------------------------------
 
+// CTest names each case after the raw bytes of its parameter, so the
+// struct has no padding: `reserved` fills the two bytes the compiler
+// would otherwise leave indeterminate, and is always 0.
 struct CapacityModelParams {
     CapacityModelKind kind;
     bool readSet;
+    uint16_t reserved;
     uint32_t capacityBytes;
     uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<CapacityModelParams>,
+              "CapacityModelParams must have no padding bytes");
 
 class CapacityModelProperty
     : public ::testing::TestWithParam<CapacityModelParams>
@@ -344,17 +351,17 @@ TEST_P(CapacityModelProperty, ClearMatchesReferenceAcrossTransactions)
 INSTANTIATE_TEST_SUITE_P(
     Kinds, CapacityModelProperty,
     ::testing::Values(
-        CapacityModelParams{CapacityModelKind::WaysAssoc, false,
+        CapacityModelParams{CapacityModelKind::WaysAssoc, false, 0,
                             256 * 1024, 31},
-        CapacityModelParams{CapacityModelKind::WaysAssoc, false,
+        CapacityModelParams{CapacityModelKind::WaysAssoc, false, 0,
                             32 * 1024, 32},
-        CapacityModelParams{CapacityModelKind::WaysAssoc, true,
+        CapacityModelParams{CapacityModelKind::WaysAssoc, true, 0,
                             256 * 1024, 33},
-        CapacityModelParams{CapacityModelKind::LimitedSet, false,
+        CapacityModelParams{CapacityModelKind::LimitedSet, false, 0,
                             256 * 1024, 34},
-        CapacityModelParams{CapacityModelKind::LimitedSet, false,
+        CapacityModelParams{CapacityModelKind::LimitedSet, false, 0,
                             32 * 1024, 35},
-        CapacityModelParams{CapacityModelKind::LimitedSet, true,
+        CapacityModelParams{CapacityModelKind::LimitedSet, true, 0,
                             256 * 1024, 36}));
 
 // ---- Heap undo log under random mutation streams ------------------------
