@@ -38,9 +38,13 @@
  * check.sh envelope and the committed baseline guard.
  *
  * `--baseline=FILE` diffs this run against a previously committed
- * BENCH_wallclock.json. The gate statistic is the *minimum* ns/instr
- * over the repetitions (host load only ever inflates a sample, so
- * the min is the most noise-robust estimate of true speed), and a
+ * BENCH_wallclock.json. A baseline that is the very file this run
+ * writes (BENCH_wallclock.json in the working directory) is refused
+ * with exit code 1 before anything is measured: the run would
+ * overwrite it and then judge itself against itself. The gate
+ * statistic is the *minimum* ns/instr over the repetitions (host
+ * load only ever inflates a sample, so the min is the most
+ * noise-robust estimate of true speed), and a
  * (suite, arch) only fails when BOTH the raw min ratio and the
  * calibration-normalized min ratio exceed NOMAP_PERF_TOLERANCE
  * percent (default 15): a genuine code regression shows through
@@ -61,6 +65,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "harness.h"
@@ -289,6 +294,24 @@ emitSuiteArray(std::FILE *out, const char *key,
 // ---------------------------------------------------------------
 // Baseline comparison (--baseline=FILE)
 // ---------------------------------------------------------------
+
+/** Where every run writes its results (the working directory). */
+constexpr const char *kOutputPath = "BENCH_wallclock.json";
+
+/** Is @p baseline the file kOutputPath names, by path or by inode? */
+bool
+baselineIsOutput(const char *baseline)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (fs::equivalent(baseline, kOutputPath, ec))
+        return true;
+    fs::path a = fs::weakly_canonical(baseline, ec);
+    if (ec)
+        return false;
+    fs::path b = fs::weakly_canonical(kOutputPath, ec);
+    return !ec && a == b;
+}
 
 struct BaselineEntry {
     std::string suite;
@@ -592,6 +615,14 @@ main(int argc, char **argv)
         else if (std::strncmp(argv[i], "--tier=", 7) == 0)
             tier_filter = argv[i] + 7;
     }
+    if (baseline_path && baselineIsOutput(baseline_path)) {
+        std::fprintf(stderr,
+                     "--baseline=%s is the %s this run writes; it "
+                     "would be overwritten before the diff. Run from "
+                     "another directory or pass a copy.\n",
+                     baseline_path, kOutputPath);
+        return 1;
+    }
 
     // Tier set: all three by default; --tier=interp|ftl|jit restricts
     // to one for ad-hoc measurement (the baseline diff then reports
@@ -713,10 +744,9 @@ main(int argc, char **argv)
                     speedups.render().c_str());
     }
 
-    const char *path = "BENCH_wallclock.json";
-    std::FILE *out = std::fopen(path, "w");
+    std::FILE *out = std::fopen(kOutputPath, "w");
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path);
+        std::fprintf(stderr, "cannot write %s\n", kOutputPath);
         return 1;
     }
     std::fprintf(out,
@@ -732,7 +762,7 @@ main(int argc, char **argv)
         emitSuiteArray(out, "quick_suites", quick_timings, true);
     std::fprintf(out, "}\n");
     std::fclose(out);
-    std::printf("wrote %s\n", path);
+    std::printf("wrote %s\n", kOutputPath);
 
     if (baseline_path) {
 #ifdef NOMAP_SANITIZED

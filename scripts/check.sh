@@ -10,18 +10,17 @@
 #                        backend
 #   2. address+undefined — full suite under ASan+UBSan
 #   3. thread          — concurrency-, chaos-, trace-, net-,
-#                        adaptive-, stm-, and jit-labeled tests only
+#                        adaptive-, and jit-labeled tests only
 #                        under TSan (the rest is single-threaded and
 #                        just slows down 10x for nothing; trace rides
 #                        along because its service-span tests cross
 #                        threads, net because the server's event loop
 #                        and shard workers race by construction,
 #                        adaptive because the controller consumes
-#                        telemetry the chaos storms also stress, stm
-#                        because shared-heap sessions run K caller
-#                        threads against one Heap, jit because the
-#                        chain executor shares the adaptive/abort
-#                        telemetry paths the storms exercise)
+#                        telemetry the chaos storms also stress, jit
+#                        because the chain executor shares the
+#                        adaptive/abort telemetry paths the storms
+#                        exercise)
 #
 # Usage: scripts/check.sh [jobs]
 #
@@ -101,10 +100,7 @@ run env CTEST_OUTPUT_ON_FAILURE=1 \
     UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir build-check-asan -j "$JOBS"
 
-step "3/3 ThreadSanitizer, concurrency + chaos + trace + net + adaptive + stm + jit labels"
-# stm rides along because shared-heap sessions are the one place K
-# caller threads execute guest programs against a single Heap — the
-# domain-mutex serialization has to be TSan-clean by construction.
+step "3/3 ThreadSanitizer, concurrency + chaos + trace + net + adaptive + jit labels"
 # jit rides along so the fused-vs-unfused chain differential runs
 # under the same instrumented scheduler the other executor
 # differentials run under.
@@ -113,7 +109,7 @@ run cmake --build build-check-tsan -j "$JOBS"
 run env CTEST_OUTPUT_ON_FAILURE=1 \
     TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-check-tsan -j "$JOBS" \
-    -L 'concurrency|chaos|trace|net|adaptive|stm|jit'
+    -L 'concurrency|chaos|trace|net|adaptive|jit'
 
 step "3b/3 TSan net label in 4-loop mode"
 # The multi-loop server's cross-thread seams (completion inboxes,

@@ -78,16 +78,6 @@ struct EngineConfig {
     uint32_t abortEscalationLimit = 8;
 
     /**
-     * Shared-heap sessions (stm/shared_heap.h): HTM attempts a region
-     * gets before it takes the software fallback path (Brown's
-     * retry-N-then-fallback template). Ignored outside shared
-     * sessions — plain isolate execution never consults it, which is
-     * part of why a K=1 shared session stays bit-identical to an
-     * isolate.
-     */
-    uint32_t htmRetryLimit = 4;
-
-    /**
      * Charge accounting per executed operation instead of per basic
      * block. Slow reference mode: the batched fast path must produce
      * bit-identical ExecutionStats (the differential accounting test

@@ -22,32 +22,12 @@ Engine::Engine(const EngineConfig &config)
     initVm();
 }
 
-Engine::Engine(const EngineConfig &config, const ExternalVm &vm)
-    : engineConfig(config)
-{
-    NOMAP_ASSERT(vm.shapes && vm.strings && vm.heap);
-    externalVm = true;
-    shapesPtr = vm.shapes;
-    stringsPtr = vm.strings;
-    heapPtr = vm.heap;
-    if (std::optional<FaultPlan> plan = FaultPlan::fromEnv()) {
-        envPlan = std::make_unique<FaultPlan>(std::move(*plan));
-        armedPlan = envPlan.get();
-    }
-    initVm();
-}
-
 void
 Engine::initVm()
 {
-    if (!externalVm) {
-        ownedShapes = std::make_unique<ShapeTable>();
-        ownedStrings = std::make_unique<StringTable>();
-        ownedHeap = std::make_unique<Heap>(*ownedShapes, *ownedStrings);
-        shapesPtr = ownedShapes.get();
-        stringsPtr = ownedStrings.get();
-        heapPtr = ownedHeap.get();
-    }
+    shapesPtr = std::make_unique<ShapeTable>();
+    stringsPtr = std::make_unique<StringTable>();
+    heapPtr = std::make_unique<Heap>(*shapesPtr, *stringsPtr);
     runtimePtr = std::make_unique<Runtime>(*heapPtr);
     builtinsPtr =
         std::make_unique<Builtins>(*runtimePtr, engineConfig.rngSeed);
@@ -55,12 +35,8 @@ Engine::initVm()
         htmModeOf(engineConfig.arch), engineConfig.capacityModel);
     memPtr = std::make_unique<MemHierarchy>();
 
-    htmPtr->setRollbackClient(heapPtr);
-    // In shared-heap mode the session points the heap at whichever
-    // engine is executing the current region; attaching here would
-    // just leave it aimed at the last engine constructed.
-    if (!externalVm)
-        heapPtr->setTransactionManager(htmPtr.get());
+    htmPtr->setRollbackClient(heapPtr.get());
+    heapPtr->setTransactionManager(htmPtr.get());
 
     acctPtr = std::make_unique<Accounting>(stats);
     if (engineConfig.traceCapacity > 0) {
@@ -141,11 +117,6 @@ Engine::resetStats()
 void
 Engine::reset()
 {
-    if (externalVm) {
-        // The heap and tables belong to the session (and to the other
-        // K-1 engines); this engine cannot recreate them.
-        fatal("Engine::reset: unsupported on an external-VM engine");
-    }
     // Drop execution state, then everything that holds references to
     // the VM (reverse construction order), then the VM itself, and
     // rebuild pristine.
@@ -161,12 +132,9 @@ Engine::reset()
     htmPtr.reset();
     builtinsPtr.reset();
     runtimePtr.reset();
-    ownedHeap.reset();
-    ownedStrings.reset();
-    ownedShapes.reset();
-    heapPtr = nullptr;
-    stringsPtr = nullptr;
-    shapesPtr = nullptr;
+    heapPtr.reset();
+    stringsPtr.reset();
+    shapesPtr.reset();
     stats = ExecutionStats();
     hasRun = false;
     initVm();

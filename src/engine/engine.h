@@ -77,35 +77,11 @@ struct FunctionState {
     bool pendingRecompile = false;
 };
 
-/**
- * Externally-owned VM state for shared-heap execution: a
- * SharedHeapSession constructs one ShapeTable/StringTable/Heap triple
- * and hands it to K engines, which then share guest memory while each
- * keeps its own runtime, JIT, HTM manager, and cache model. The
- * pointees must outlive every engine viewing them.
- */
-struct ExternalVm {
-    ShapeTable *shapes = nullptr;
-    StringTable *strings = nullptr;
-    Heap *heap = nullptr;
-};
-
 /** One self-contained VM + JIT + hardware model instance. */
 class Engine : public CallDispatcher
 {
   public:
     explicit Engine(const EngineConfig &config = EngineConfig());
-
-    /**
-     * Construct an engine over an externally-owned heap and tables
-     * (shared-heap mode; see ExternalVm). Differences from the owning
-     * form: the engine does not attach itself to the heap as its
-     * transaction manager (the session re-points the heap at the
-     * running engine per region), and reset() is unsupported — the
-     * engine cannot recreate state it does not own.
-     */
-    Engine(const EngineConfig &config, const ExternalVm &vm);
-
     ~Engine() override;
 
     Engine(const Engine &) = delete;
@@ -194,13 +170,6 @@ class Engine : public CallDispatcher
     Heap &heap() { return *heapPtr; }
     TransactionManager &htm() { return *htmPtr; }
     MemHierarchy &memHierarchy() { return *memPtr; }
-
-    /**
-     * The Math.random() generator. Exposed so shared-heap sessions can
-     * snapshot/restore its raw state across region retries (support/
-     * random.h); ordinary callers have no business poking it.
-     */
-    Xorshift64Star &rng() { return builtinsPtr->rng(); }
     const CompiledProgram *program() const { return programPtr.get(); }
 
     /**
@@ -255,19 +224,11 @@ class Engine : public CallDispatcher
     std::unique_ptr<FaultInjector> injector;
     bool hasRun = false;
 
-    /** Viewing an ExternalVm instead of owning the triple below. */
-    bool externalVm = false;
-
     // Construction order matters: tables before heap, heap before
-    // runtime, everything before executors. The shape/string/heap
-    // triple is held as views so it can alternatively come from an
-    // ExternalVm; in the owning form the owned* members back them.
-    std::unique_ptr<ShapeTable> ownedShapes;
-    std::unique_ptr<StringTable> ownedStrings;
-    std::unique_ptr<Heap> ownedHeap;
-    ShapeTable *shapesPtr = nullptr;
-    StringTable *stringsPtr = nullptr;
-    Heap *heapPtr = nullptr;
+    // runtime, everything before executors.
+    std::unique_ptr<ShapeTable> shapesPtr;
+    std::unique_ptr<StringTable> stringsPtr;
+    std::unique_ptr<Heap> heapPtr;
     std::unique_ptr<Runtime> runtimePtr;
     std::unique_ptr<Builtins> builtinsPtr;
     std::unique_ptr<TransactionManager> htmPtr;

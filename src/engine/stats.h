@@ -120,18 +120,6 @@ struct ExecutionStats {
     uint64_t maxWriteFootprintBytes = 0;
     uint32_t maxWriteWaysUsed = 0;
 
-    // ---- Shared-heap regions (filled by SharedHeapSession only) -------
-    // An Engine never touches these: per-run EngineResult stats keep
-    // them at zero, so every existing differential invariant — and the
-    // K=1 session-vs-isolate comparison — is unaffected. The session
-    // reports them in its aggregate view and metrics JSON.
-    uint64_t stmRegions = 0;        ///< Regions executed to completion.
-    uint64_t stmRegionRetries = 0;  ///< Aborted HTM attempts (retried).
-    uint64_t stmConflictAborts = 0; ///< ... due to footprint overlap.
-    uint64_t stmCapacityAborts = 0; ///< ... due to footprint overflow.
-    uint64_t stmInjectedAborts = 0; ///< ... due to stm.fallback storms.
-    uint64_t stmFallbacks = 0;      ///< Regions that ran the fallback.
-
     /** Fold another stats object into this one (suite aggregation). */
     void merge(const ExecutionStats &other);
 };
@@ -170,12 +158,6 @@ ExecutionStats::merge(const ExecutionStats &other)
         maxWriteFootprintBytes = other.maxWriteFootprintBytes;
     if (other.maxWriteWaysUsed > maxWriteWaysUsed)
         maxWriteWaysUsed = other.maxWriteWaysUsed;
-    stmRegions += other.stmRegions;
-    stmRegionRetries += other.stmRegionRetries;
-    stmConflictAborts += other.stmConflictAborts;
-    stmCapacityAborts += other.stmCapacityAborts;
-    stmInjectedAborts += other.stmInjectedAborts;
-    stmFallbacks += other.stmFallbacks;
 }
 
 } // namespace nomap

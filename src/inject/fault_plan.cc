@@ -42,7 +42,6 @@ constexpr SiteNameEntry kSiteNames[] = {
     {FaultSite::NetFrameDefer, "net.frame"},
     {FaultSite::AdaptiveDecision, "adaptive.decision"},
     {FaultSite::AdaptiveBlacklist, "adaptive.blacklist"},
-    {FaultSite::StmFallback, "stm.fallback"},
 };
 
 /** Does a site consume the ':arg' filter? Only ftl.osr passes a key

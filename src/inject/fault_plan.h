@@ -78,10 +78,6 @@
  *                              application, force the function
  *                              untransactional (pinned level 3)
  *                              instead of the decided revision
- *     stm.fallback@N           doom every HTM attempt of the N-th
- *                              shared-heap region, driving it through
- *                              the full retry ladder onto the
- *                              software fallback path
  *
  * Only `ftl.osr` takes a ':arg' filter; a ':arg' on any other site is
  * rejected at parse time. (Before this check, a plan like
@@ -136,11 +132,10 @@ enum class FaultSite : uint8_t {
     NetFrameDefer,       ///< net.frame
     AdaptiveDecision,    ///< adaptive.decision
     AdaptiveBlacklist,   ///< adaptive.blacklist
-    StmFallback,         ///< stm.fallback
 };
 
 constexpr size_t kNumFaultSites =
-    static_cast<size_t>(FaultSite::StmFallback) + 1;
+    static_cast<size_t>(FaultSite::AdaptiveBlacklist) + 1;
 
 /** Canonical grammar name of a site ("htm.abort", "check.bounds"...). */
 const char *faultSiteName(FaultSite site);

@@ -83,13 +83,6 @@ struct ExecEnv {
     {
         if (addr == 0)
             return;
-        // Shared-heap regions collect their read footprint here: this
-        // is the one point every modeled data access funnels through.
-        // (Writes also funnel through Heap::recordTxWrite, which
-        // catches builtin mutations that bypass memAccess.) Outside a
-        // session this is a single predictable branch.
-        if (heap.sessionActive())
-            heap.noteSessionAccess(addr, is_write);
         bool in_tx = htm.inTransaction();
         uint32_t lat = mem.access(addr, is_write, is_write && in_tx);
         if (in_tx) {

@@ -84,28 +84,4 @@ Cache::invalidateAll()
     lruClock = 0;
 }
 
-void
-Cache::save(Snapshot &out) const
-{
-    out.lines = lines;
-    out.mruIndex = mru ? mru - lines.data() : -1;
-    out.mruSet = mruSet;
-    out.swCount = swCount;
-    out.swSets = swSets;
-    out.swTotal = swTotal;
-    out.lruClock = lruClock;
-}
-
-void
-Cache::restore(const Snapshot &s)
-{
-    lines = s.lines;
-    mru = s.mruIndex >= 0 ? lines.data() + s.mruIndex : nullptr;
-    mruSet = s.mruSet;
-    swCount = s.swCount;
-    swSets = s.swSets;
-    swTotal = s.swTotal;
-    lruClock = s.lruClock;
-}
-
 } // namespace nomap

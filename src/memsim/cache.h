@@ -245,32 +245,6 @@ class Cache
     uint32_t swTotal = 0;
     uint64_t lruClock = 0;
     CacheStats statsData;
-
-  public:
-    /**
-     * Full copy of the cache's line/LRU state (stats excluded). Treat
-     * as opaque: shared-heap sessions save() at region begin and
-     * restore() on a region abort, so a retry observes exactly the
-     * cache contents the aborted attempt started from — cycle
-     * accounting would otherwise diverge between attempts, breaking
-     * the retries-are-invisible contract. save() into a long-lived
-     * Snapshot reuses its buffers (no steady-state allocation).
-     */
-    struct Snapshot {
-        std::vector<Line> lines;
-        int64_t mruIndex = -1; ///< Offset of mru in lines; -1 = null.
-        uint32_t mruSet = 0;
-        std::vector<uint32_t> swCount;
-        std::vector<uint32_t> swSets;
-        uint32_t swTotal = 0;
-        uint64_t lruClock = 0;
-    };
-
-    /** Copy line/LRU state into @p out (geometry must match). */
-    void save(Snapshot &out) const;
-
-    /** Restore line/LRU state captured by save(). */
-    void restore(const Snapshot &s);
 };
 
 } // namespace nomap

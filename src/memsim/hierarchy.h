@@ -71,28 +71,6 @@ class MemHierarchy
 
     void resetStats();
 
-    /** Both levels' line/LRU state (see Cache::Snapshot). */
-    struct Snapshot {
-        Cache::Snapshot l1;
-        Cache::Snapshot l2;
-    };
-
-    /** Copy both levels' contents into @p out (buffers reused). */
-    void
-    save(Snapshot &out) const
-    {
-        l1d.save(out.l1);
-        l2c.save(out.l2);
-    }
-
-    /** Restore both levels' contents captured by save(). */
-    void
-    restore(const Snapshot &s)
-    {
-        l1d.restore(s.l1);
-        l2c.restore(s.l2);
-    }
-
   private:
     Cache l1d;
     Cache l2c;

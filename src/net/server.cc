@@ -674,9 +674,24 @@ NoMapServer::EventLoop::processFrame(Conn *conn, std::string payload)
         std::move(request), [this, connId](Response response) {
             // Worker thread (or the loop thread itself when shed
             // inline): encode here, hand the loop finished bytes.
-            std::string frame = frameMessage(
-                encodeResponsePayload(responseToWire(response)));
-            postCompletion(connId, std::move(frame));
+            std::string payload =
+                encodeResponsePayload(responseToWire(response));
+            if (payload.size() > kMaxFramePayloadBytes) {
+                // The client's decoder would refuse the frame and drop
+                // the connection; answer this request with an error.
+                WireResponse wire;
+                wire.id = response.id;
+                wire.status =
+                    static_cast<uint8_t>(ResponseStatus::Error);
+                wire.shard = response.shard;
+                wire.attempts = response.attempts;
+                wire.error = strprintf(
+                    "response of %zu bytes exceeds the %u-byte frame "
+                    "cap",
+                    payload.size(), kMaxFramePayloadBytes);
+                payload = encodeResponsePayload(wire);
+            }
+            postCompletion(connId, frameMessage(payload));
         });
 }
 

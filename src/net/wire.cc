@@ -212,6 +212,10 @@ decodeResponsePayload(const std::string &payload,
 std::string
 frameMessage(const std::string &payload)
 {
+    if (payload.size() > kMaxFramePayloadBytes) {
+        fatal("frame payload of %zu bytes exceeds cap %u",
+              payload.size(), kMaxFramePayloadBytes);
+    }
     std::string out;
     out.reserve(payload.size() + 4);
     putU32(&out, static_cast<uint32_t>(payload.size()));

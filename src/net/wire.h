@@ -99,7 +99,11 @@ bool decodeResponsePayload(const std::string &payload,
                            WireResponse *response,
                            std::string *error);
 
-/** Prepend the u32-LE length header to @p payload. */
+/**
+ * Prepend the u32-LE length header to @p payload. Throws FatalError
+ * if the payload exceeds kMaxFramePayloadBytes: the peer's decoder
+ * would refuse the frame and drop the connection.
+ */
 std::string frameMessage(const std::string &payload);
 
 // ---- Incremental frame decoder -----------------------------------------

@@ -56,13 +56,6 @@ class Xorshift64Star
         state = s ? s : 0x9e3779b97f4a7c15ull;
     }
 
-    // Exact state snapshot/restore (no zero-coercion, unlike seed):
-    // shared-heap region retries restore the generator to its value at
-    // region begin so a retry draws the same sequence a first attempt
-    // did.
-    uint64_t rawState() const { return state; }
-    void setRawState(uint64_t s) { state = s; }
-
   private:
     uint64_t state;
 };

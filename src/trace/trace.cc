@@ -119,7 +119,6 @@ traceEventTypeName(TraceEventType type)
       case TraceEventType::PassReport: return "PassReport";
       case TraceEventType::SpanBegin: return "SpanBegin";
       case TraceEventType::SpanEnd: return "SpanEnd";
-      case TraceEventType::TxFallback: return "TxFallback";
     }
     return "?";
 }
@@ -238,12 +237,6 @@ chromeTraceJson(const std::vector<TraceEvent> &events,
             ph = e.type == TraceEventType::SpanBegin ? "B" : "E";
             name = codeName(e);
             appendf(args, "\"attempt\":%u,\"wall_micros\":%" PRIu64,
-                    unsigned(e.aux), e.bytes);
-            break;
-          case TraceEventType::TxFallback:
-            name = "tx-fallback " + funcLabel(e.funcId, resolver);
-            appendf(args,
-                    "\"htm_attempts\":%u,\"write_footprint_bytes\":%" PRIu64,
                     unsigned(e.aux), e.bytes);
             break;
         }

@@ -61,10 +61,6 @@ enum class TraceEventType : uint8_t {
     PassReport, ///< Optimization-pass delta; aux = PassId.
     SpanBegin,  ///< Request-scoped span opens; code = SpanKind.
     SpanEnd,    ///< Request-scoped span closes; code = SpanKind.
-    /** A shared-heap region exhausted its HTM retry budget and ran on
-     *  the software fallback path (stm/shared_heap.cc). Appended last:
-     *  exporter output for the earlier types is pinned by goldens. */
-    TxFallback,
 };
 
 /** Printable event-type name. */
@@ -123,9 +119,6 @@ const char *tracePassName(TracePassId pass);
  *               converted by the planner), ways = dead ops removed
  *               (planner: tile interval), pc = loop header pc
  *   Span*       code = SpanKind, aux = attempt, bytes = wall micros
- *   TxFallback  aux = HTM attempts burned before falling back,
- *               bytes = write footprint of the fallback run,
- *               tid = session lane (engine-thread slot + 1)
  */
 struct TraceEvent {
     /** Virtual-cycle timestamp (deterministic; see file comment). */

@@ -77,8 +77,6 @@ class Builtins
     /** Drop accumulated print() output (per-request stats reset). */
     void clearPrinted() { printed.clear(); }
 
-    Xorshift64Star &rng() { return rngState; }
-
   private:
     Value stringMethod(Value receiver, const std::string &name,
                        const Value *args, uint32_t nargs);

@@ -54,15 +54,7 @@ Heap::allocArray(uint32_t length)
 void
 Heap::recordTxWrite(Addr addr)
 {
-    if (addr == 0)
-        return;
-    // Every tracked write lands in the open region's footprint too:
-    // builtin-driven mutations (push/pop, property adds) reach the
-    // heap without passing through ExecEnv::memAccess, so this funnel
-    // is what makes the region write set complete.
-    if (sessionFp)
-        sessionFp->noteWrite(addr);
-    if (!inTx())
+    if (!inTx() || addr == 0)
         return;
     if (!htm->recordWrite(addr)) {
         // Capacity abort: memory is already rolled back (recordWrite
@@ -74,50 +66,37 @@ Heap::recordTxWrite(Addr addr)
 // ---- Undo logging -------------------------------------------------------
 
 void
-Heap::pushUndo(const UndoEntry &e)
-{
-    // undoEntriesLogged counts only per-tx entries: it predates the
-    // region log, and keeping it that way leaves every existing
-    // differential invariant (and the K=1 session-vs-isolate
-    // comparison) untouched.
-    if (logging) {
-        undoLog.push_back(e);
-        ++statsData.undoEntriesLogged;
-    }
-    if (sessionLogging)
-        sessionLog.push_back(e);
-}
-
-void
 Heap::logObjectSlot(uint32_t obj_id, uint32_t slot)
 {
-    if (!logging && !sessionLogging)
+    if (!logging)
         return;
     UndoEntry e;
     e.kind = UndoKind::ObjectSlot;
     e.id = obj_id;
     e.index = slot;
     e.oldValue = object(obj_id).slots[slot];
-    pushUndo(e);
+    undoLog.push_back(e);
+    ++statsData.undoEntriesLogged;
 }
 
 void
 Heap::logArrayElem(uint32_t arr_id, uint32_t index)
 {
-    if (!logging && !sessionLogging)
+    if (!logging)
         return;
     UndoEntry e;
     e.kind = UndoKind::ArrayElem;
     e.id = arr_id;
     e.index = index;
     e.oldValue = array(arr_id).storage[index];
-    pushUndo(e);
+    undoLog.push_back(e);
+    ++statsData.undoEntriesLogged;
 }
 
 void
 Heap::logArrayResize(uint32_t arr_id)
 {
-    if (!logging && !sessionLogging)
+    if (!logging)
         return;
     const JsArray &arr = array(arr_id);
     UndoEntry e;
@@ -126,19 +105,21 @@ Heap::logArrayResize(uint32_t arr_id)
     e.oldLength = arr.length();
     e.oldHasHoles = arr.hasHoles;
     e.oldBaseAddr = arr.baseAddr;
-    pushUndo(e);
+    undoLog.push_back(e);
+    ++statsData.undoEntriesLogged;
 }
 
 void
 Heap::logGlobal(uint32_t index)
 {
-    if (!logging && !sessionLogging)
+    if (!logging)
         return;
     UndoEntry e;
     e.kind = UndoKind::GlobalVar;
     e.id = index;
     e.oldValue = globals[index];
-    pushUndo(e);
+    undoLog.push_back(e);
+    ++statsData.undoEntriesLogged;
 }
 
 void
@@ -150,40 +131,36 @@ Heap::txCheckpoint()
 }
 
 void
-Heap::applyUndo(const UndoEntry &e)
-{
-    switch (e.kind) {
-      case UndoKind::ObjectSlot:
-        object(e.id).slots[e.index] = e.oldValue;
-        break;
-      case UndoKind::ObjectShape: {
-        JsObject &obj = object(e.id);
-        obj.shape = e.oldShape;
-        obj.slots.resize(shapes.slotCount(e.oldShape));
-        break;
-      }
-      case UndoKind::ArrayElem:
-        array(e.id).storage[e.index] = e.oldValue;
-        break;
-      case UndoKind::ArrayResize: {
-        JsArray &arr = array(e.id);
-        arr.storage.resize(e.oldLength);
-        arr.hasHoles = e.oldHasHoles;
-        arr.baseAddr = e.oldBaseAddr;
-        break;
-      }
-      case UndoKind::GlobalVar:
-        globals[e.id] = e.oldValue;
-        break;
-    }
-}
-
-void
 Heap::txRollback()
 {
     NOMAP_ASSERT(logging);
-    for (auto it = undoLog.rbegin(); it != undoLog.rend(); ++it)
-        applyUndo(*it);
+    for (auto it = undoLog.rbegin(); it != undoLog.rend(); ++it) {
+        const UndoEntry &e = *it;
+        switch (e.kind) {
+          case UndoKind::ObjectSlot:
+            object(e.id).slots[e.index] = e.oldValue;
+            break;
+          case UndoKind::ObjectShape: {
+            JsObject &obj = object(e.id);
+            obj.shape = e.oldShape;
+            obj.slots.resize(shapes.slotCount(e.oldShape));
+            break;
+          }
+          case UndoKind::ArrayElem:
+            array(e.id).storage[e.index] = e.oldValue;
+            break;
+          case UndoKind::ArrayResize: {
+            JsArray &arr = array(e.id);
+            arr.storage.resize(e.oldLength);
+            arr.hasHoles = e.oldHasHoles;
+            arr.baseAddr = e.oldBaseAddr;
+            break;
+          }
+          case UndoKind::GlobalVar:
+            globals[e.id] = e.oldValue;
+            break;
+        }
+    }
     undoLog.clear();
     logging = false;
     ++statsData.rollbacks;
@@ -195,64 +172,6 @@ Heap::txDiscardLog()
     NOMAP_ASSERT(logging);
     undoLog.clear();
     logging = false;
-}
-
-// ---- Shared-heap regions ------------------------------------------------
-
-void
-Heap::sessionBegin(RegionFootprint *fp)
-{
-    NOMAP_ASSERT(!sessionLogging);
-    sessionLog.clear();
-    sessionLogging = true;
-    sessionFp = fp;
-}
-
-void
-Heap::sessionCommit()
-{
-    NOMAP_ASSERT(sessionLogging);
-    NOMAP_ASSERT(!logging);
-    sessionLog.clear();
-    sessionLogging = false;
-    sessionFp = nullptr;
-}
-
-void
-Heap::sessionAbort(const HeapMark &m)
-{
-    NOMAP_ASSERT(sessionLogging);
-    NOMAP_ASSERT(!logging);
-    // Reverse-replay the region log. Entries for objects/arrays/
-    // globals the region itself allocated are applied too (they still
-    // exist at this point); the truncation below then discards them
-    // wholesale. HTM transactions that aborted mid-region already
-    // restored their locations through txRollback, so replaying their
-    // region-log entries is idempotent.
-    for (auto it = sessionLog.rbegin(); it != sessionLog.rend(); ++it)
-        applyUndo(*it);
-    // Unwind the allocators so a retry replays the exact allocation
-    // sequence — same ids, same abstract addresses, same counters.
-    // The shape and string tables stay warm on purpose: transitions
-    // and interning are deterministic cache-style lookups, so a retry
-    // re-derives identical ids from the committed state.
-    objects.resize(m.objects);
-    arrays.resize(m.arrays);
-    globals.resize(m.globals);
-    for (auto it = globalNames.begin(); it != globalNames.end();) {
-        if (it->second >= m.globals)
-            it = globalNames.erase(it);
-        else
-            ++it;
-    }
-    nextAddr = m.nextAddr;
-    statsData.objectsAllocated = m.objectsAllocated;
-    statsData.arraysAllocated = m.arraysAllocated;
-    statsData.undoEntriesLogged = m.undoEntriesLogged;
-    sessionLog.clear();
-    sessionLogging = false;
-    sessionFp = nullptr;
-    ++statsData.regionRollbacks;
 }
 
 // ---- Object properties ----------------------------------------------------
@@ -280,12 +199,13 @@ Heap::setProperty(uint32_t obj_id, uint32_t name_id, Value v,
     int32_t slot = shapes.lookup(obj.shape, name_id);
     if (slot < 0) {
         // Shape transition: add the property.
-        if (logging || sessionLogging) {
+        if (logging) {
             UndoEntry e;
             e.kind = UndoKind::ObjectShape;
             e.id = obj_id;
             e.oldShape = obj.shape;
-            pushUndo(e);
+            undoLog.push_back(e);
+            ++statsData.undoEntriesLogged;
         }
         uint32_t new_slot = 0;
         obj.shape = shapes.transition(obj.shape, name_id, &new_slot);

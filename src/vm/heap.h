@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "htm/region.h"
 #include "htm/transaction.h"
 #include "memsim/addr.h"
 #include "support/logging.h"
@@ -67,26 +66,6 @@ struct HeapStats {
     uint64_t arraysAllocated = 0;
     uint64_t undoEntriesLogged = 0;
     uint64_t rollbacks = 0;
-    /** Shared-heap region aborts rolled back (stm/shared_heap.cc). */
-    uint64_t regionRollbacks = 0;
-};
-
-/**
- * Snapshot of the heap's allocator state at a shared-heap region
- * begin (Heap::mark()). Region rollback restores mutations through
- * the region undo log AND truncates everything the aborted attempt
- * allocated — ids, addresses, globals — so a retry replays the exact
- * allocation sequence and lands on the same abstract addresses
- * (bit-identical cache behavior; the storm differential pins this).
- */
-struct HeapMark {
-    size_t objects = 0;
-    size_t arrays = 0;
-    size_t globals = 0;
-    Addr nextAddr = 0;
-    uint64_t objectsAllocated = 0;
-    uint64_t arraysAllocated = 0;
-    uint64_t undoEntriesLogged = 0;
 };
 
 /**
@@ -173,7 +152,7 @@ class Heap : public RollbackClient
     void
     setSlot(uint32_t obj_id, uint32_t slot, Value v)
     {
-        if (logging || sessionLogging || inTx()) {
+        if (logging || inTx()) {
             setSlotTracked(obj_id, slot, v);
             return;
         }
@@ -214,7 +193,7 @@ class Heap : public RollbackClient
     void
     setElementFast(uint32_t arr_id, uint32_t index, Value v)
     {
-        if (logging || sessionLogging || inTx()) {
+        if (logging || inTx()) {
             setElementFastTracked(arr_id, index, v);
             return;
         }
@@ -255,7 +234,7 @@ class Heap : public RollbackClient
     setGlobal(uint32_t index, Value v)
     {
         NOMAP_ASSERT(index < globals.size());
-        if (logging || sessionLogging || inTx()) {
+        if (logging || inTx()) {
             setGlobalTracked(index, v);
             return;
         }
@@ -293,57 +272,6 @@ class Heap : public RollbackClient
 
     /** Attach the HTM manager so writes inside transactions log undo. */
     void setTransactionManager(TransactionManager *tm) { htm = tm; }
-
-    // ---- Shared-heap regions (stm/shared_heap.cc) -----------------------
-    // A region is one whole guest run executed against this heap by a
-    // SharedHeapSession. While a region is open the heap keeps a
-    // second, region-scoped undo log (independent of the per-tx log
-    // the HTM manager drives) and reports every tracked write to the
-    // region's footprint; sessionAbort() restores the exact pre-region
-    // state, including allocator ids/addresses and globals, so a retry
-    // is bit-identical to a first run from the committed state.
-
-    /** Snapshot allocator state for a possible sessionAbort(). */
-    HeapMark
-    mark() const
-    {
-        HeapMark m;
-        m.objects = objects.size();
-        m.arrays = arrays.size();
-        m.globals = globals.size();
-        m.nextAddr = nextAddr;
-        m.objectsAllocated = statsData.objectsAllocated;
-        m.arraysAllocated = statsData.arraysAllocated;
-        m.undoEntriesLogged = statsData.undoEntriesLogged;
-        return m;
-    }
-
-    /** Open a region: start region-undo logging, route tracked writes
-     *  to @p fp (may be null for a fallback run with no footprint). */
-    void sessionBegin(RegionFootprint *fp);
-
-    /** Close the region keeping its effects; drops the region log. */
-    void sessionCommit();
-
-    /** Abort the region: replay the region undo log in reverse, then
-     *  truncate everything allocated since @p m. */
-    void sessionAbort(const HeapMark &m);
-
-    /** Is a shared-heap region currently open? */
-    bool sessionActive() const { return sessionLogging; }
-
-    /** Report one modeled memory access to the open region's
-     *  footprint (called from ExecEnv::memAccess). */
-    void
-    noteSessionAccess(Addr addr, bool is_write)
-    {
-        if (!sessionFp)
-            return;
-        if (is_write)
-            sessionFp->noteWrite(addr);
-        else
-            sessionFp->noteRead(addr);
-    }
 
     ShapeTable &shapeTable() { return shapes; }
     StringTable &stringTable() { return strings; }
@@ -397,12 +325,6 @@ class Heap : public RollbackClient
     void logArrayResize(uint32_t arr_id);
     void logGlobal(uint32_t index);
 
-    /** Append @p e to whichever undo logs are open. */
-    void pushUndo(const UndoEntry &e);
-
-    /** Replay one undo entry (shared by txRollback/sessionAbort). */
-    void applyUndo(const UndoEntry &e);
-
     ShapeTable &shapes;
     StringTable &strings;
     TransactionManager *htm = nullptr;
@@ -416,12 +338,6 @@ class Heap : public RollbackClient
     Addr nextAddr = 0x10000; ///< Bump pointer; 0 stays "no address".
     std::vector<UndoEntry> undoLog;
     bool logging = false;
-
-    // Region-scoped undo state (independent of the per-tx log above:
-    // an HTM transaction may commit inside a region that later aborts).
-    std::vector<UndoEntry> sessionLog;
-    bool sessionLogging = false;
-    RegionFootprint *sessionFp = nullptr;
 
     HeapStats statsData;
 };

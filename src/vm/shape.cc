@@ -62,25 +62,4 @@ ShapeTable::slotCount(uint32_t shape_id) const
     return shapes[shape_id].slotCount;
 }
 
-void
-ShapeTable::truncate(size_t n)
-{
-    NOMAP_ASSERT(n >= 1); // Never drop the root shape.
-    if (n >= shapes.size())
-        return;
-    shapes.resize(n);
-    // Children always have larger ids than their parents (they are
-    // created later), so only surviving shapes can hold edges into the
-    // dropped range.
-    for (Shape &shape : shapes) {
-        for (auto it = shape.transitions.begin();
-             it != shape.transitions.end();) {
-            if (it->second >= n)
-                it = shape.transitions.erase(it);
-            else
-                ++it;
-        }
-    }
-}
-
 } // namespace nomap

@@ -63,17 +63,6 @@ class ShapeTable
 
     size_t size() const { return shapes.size(); }
 
-    /**
-     * Drop every shape with id >= @p n, and the transition edges that
-     * lead to them. Used by shared-heap sessions to roll back shapes
-     * created by an aborted region attempt: shape ids are assigned in
-     * creation order, so truncating to the attempt-start size removes
-     * exactly that attempt's shapes, and a retry re-derives them with
-     * identical ids. Only valid when no live object references a
-     * dropped shape (the session truncates the heap to the same mark).
-     */
-    void truncate(size_t n);
-
   private:
     std::vector<Shape> shapes;
 };

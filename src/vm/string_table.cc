@@ -35,13 +35,4 @@ StringTable::isInterned(const std::string &s) const
     return ids.count(s) > 0;
 }
 
-void
-StringTable::truncate(size_t n)
-{
-    while (strings.size() > n) {
-        ids.erase(strings.back());
-        strings.pop_back();
-    }
-}
-
 } // namespace nomap

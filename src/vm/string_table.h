@@ -37,16 +37,6 @@ class StringTable
 
     size_t size() const { return strings.size(); }
 
-    /**
-     * Drop every string with id >= @p n. Used by shared-heap sessions
-     * to roll back strings interned by an aborted region attempt, so a
-     * retry re-interns them with identical ids. Invalidates get()
-     * references to the dropped strings only; callers must not hold
-     * such references across a region abort (nothing does — builtins
-     * hold them only within one guest run).
-     */
-    void truncate(size_t n);
-
   private:
     std::deque<std::string> strings;
     std::unordered_map<std::string, uint32_t> ids;

@@ -73,7 +73,7 @@ TEST(FaultPlan, MisspelledSiteIsRejectedAtParseTime)
     // A typo'd site must fail loudly when the plan is armed, not arm
     // a spec that can never fire.
     EXPECT_THROW(FaultPlan::parse("net.acept@1"), FatalError);
-    EXPECT_THROW(FaultPlan::parse("stm.falback@1"), FatalError);
+    EXPECT_THROW(FaultPlan::parse("adaptive.decison@1"), FatalError);
 }
 
 TEST(FaultPlan, ArgFilterOnlyAllowedWhereItCanMatch)
@@ -82,7 +82,7 @@ TEST(FaultPlan, ArgFilterOnlyAllowedWhereItCanMatch)
     // may carry a ':arg' filter. Before this check, a plan like
     // "net.accept@1:7" parsed fine, armed, and silently never fired.
     EXPECT_THROW(FaultPlan::parse("net.accept@1:7"), FatalError);
-    EXPECT_THROW(FaultPlan::parse("stm.fallback@1:2"), FatalError);
+    EXPECT_THROW(FaultPlan::parse("adaptive.blacklist@1:2"), FatalError);
     EXPECT_THROW(FaultPlan::parse("check.bounds@3:1"), FatalError);
     EXPECT_THROW(
         FaultPlan::parse("htm.abort@1,service.retry@2:9"),
@@ -94,20 +94,6 @@ TEST(FaultPlan, ArgFilterOnlyAllowedWhereItCanMatch)
     EXPECT_EQ(
         FaultPlan::parse("htm.abort@1,ftl.osr@2:17").toString(),
         "htm.abort@1,ftl.osr@2:17");
-}
-
-TEST(FaultPlan, StmFallbackSiteRoundTrips)
-{
-    FaultPlan plan = FaultPlan::parse("stm.fallback@2");
-    ASSERT_EQ(plan.actions().size(), 1u);
-    EXPECT_EQ(plan.actions()[0].site, FaultSite::StmFallback);
-    EXPECT_EQ(plan.actions()[0].count, 2u);
-    EXPECT_EQ(plan.toString(), "stm.fallback@2");
-
-    FaultInjector inj(plan);
-    EXPECT_FALSE(inj.fire(FaultSite::StmFallback));
-    EXPECT_TRUE(inj.fire(FaultSite::StmFallback));
-    EXPECT_FALSE(inj.fire(FaultSite::StmFallback)); // one-shot
 }
 
 TEST(FaultPlan, EverySiteNameParses)

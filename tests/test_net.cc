@@ -369,6 +369,14 @@ TEST(Wire, OversizedFrameLengthPoisonsDecoder)
               FrameDecoder::Result::Error);
 }
 
+TEST(Wire, FrameMessageRefusesOverCapPayload)
+{
+    std::string at_cap(kMaxFramePayloadBytes, 'x');
+    EXPECT_EQ(frameMessage(at_cap).size(), at_cap.size() + 4);
+    at_cap.push_back('x');
+    EXPECT_THROW(frameMessage(at_cap), FatalError);
+}
+
 TEST(Wire, FrameDecoderBufferedBytesAcrossCompaction)
 {
     // bufferedBytes() must equal fed-minus-consumed at every step,
@@ -970,6 +978,48 @@ TEST(NetLoopback, DeepNestingAnswersErrorAndServerKeepsServing)
     EXPECT_EQ(response.status,
               static_cast<uint8_t>(ResponseStatus::Ok));
     EXPECT_EQ(response.resultString, "7");
+    server.stop();
+}
+
+TEST(NetLoopback, OverCapResponseAnswersErrorAndConnectionKeepsServing)
+{
+    ServerConfig config;
+    config.loops = envLoops();
+    NoMapServer server(std::move(config));
+    server.start();
+
+    NetClient client;
+    client.connect("127.0.0.1", server.port());
+    // 9 MiB of print output: its response frame would exceed
+    // kMaxFramePayloadBytes, which the client's decoder treats as an
+    // unrecoverable stream error. The server must answer Error instead.
+    WireRequest chatty;
+    chatty.id = 1;
+    chatty.source = R"JS(
+var line = "";
+for (var i = 0; i < 1023; i++) line = line + "x";
+for (var r = 0; r < 9216; r++) print(line);
+result = 1;
+)JS";
+    WireResponse refused = client.call(chatty);
+    EXPECT_EQ(refused.status,
+              static_cast<uint8_t>(ResponseStatus::Error));
+    EXPECT_EQ(refused.id, 1u);
+    EXPECT_NE(refused.error.find("exceeds the " +
+                                 std::to_string(kMaxFramePayloadBytes) +
+                                 "-byte frame cap"),
+              std::string::npos)
+        << refused.error;
+    EXPECT_TRUE(refused.printed.empty());
+
+    WireRequest good;
+    good.id = 2;
+    good.source = "result = 3 + 4;";
+    WireResponse response = client.call(good);
+    EXPECT_EQ(response.status,
+              static_cast<uint8_t>(ResponseStatus::Ok));
+    EXPECT_EQ(response.resultString, "7");
+    EXPECT_EQ(server.connectionCounters().decodeErrors, 0u);
     server.stop();
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "support/counters.h"
 #include "support/logging.h"
 #include "support/random.h"
 #include "support/statistics.h"
@@ -21,6 +22,13 @@ TEST(Logging, FatalThrowsFatalError)
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(), "bad config 7");
     }
+}
+
+TEST(Counters, ClampedDeltaNeverWraps)
+{
+    EXPECT_EQ(clampedDelta(10, 3), 7u);
+    EXPECT_EQ(clampedDelta(3, 3), 0u);
+    EXPECT_EQ(clampedDelta(3, 10), 0u); // would wrap to ~2^64
 }
 
 TEST(Random, Deterministic)
